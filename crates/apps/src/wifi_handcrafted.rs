@@ -9,7 +9,7 @@
 //! * `event` — picking apart NFC intents on the activity;
 //! * `convert` — manual JSON ⇄ NDEF marshalling with MIME checks;
 //! * `failure` — classifying errors, bounded retry loops, failure toasts;
-//! * `readwrite` — the blocking `Ndef` connect/read/write calls;
+//! * `readwrite` — the blocking `Ndef` connect/read/write/close calls;
 //! * `concurrency` — `AsyncTask` plumbing, in-flight guards, and
 //!   hand-carried state between threads.
 
@@ -138,6 +138,7 @@ impl HandcraftedWifiActivity {
                     // @loc-end(failure)
                     // @loc-begin(readwrite)
                     let result = ndef.connect().and_then(|()| ndef.write_ndef_message(&message));
+                    ndef.close();
                     // @loc-end(readwrite)
                     // @loc-begin(failure)
                     match result {
@@ -305,7 +306,7 @@ impl HandcraftedWifiApp {
     pub fn read_and_join_now(&self, uid: TagUid) -> bool {
         let ctx = self.host.context().clone();
         // @loc-begin(readwrite)
-        let ndef = Ndef::get(ctx.nfc().clone(), uid);
+        let mut ndef = Ndef::get(ctx.nfc().clone(), uid);
         // @loc-end(readwrite)
         // @loc-begin(failure)
         let mut attempts = 0;
@@ -313,7 +314,8 @@ impl HandcraftedWifiApp {
             attempts += 1;
             // @loc-end(failure)
             // @loc-begin(readwrite)
-            let result = ndef.ndef_message();
+            let result = ndef.connect().and_then(|()| ndef.ndef_message());
+            ndef.close();
             // @loc-end(readwrite)
             // @loc-begin(failure)
             match result {

@@ -6,13 +6,21 @@
 //! here: `connect`/`ndef_message`/`write_ndef_message` block the calling
 //! thread for the full link latency, throw on every transient fault, and
 //! leave retrying, threading, and data conversion entirely to the
-//! application.
+//! application. So is the platform's connection contract: I/O needs a
+//! prior `connect()`, one technology object at a time may be connected
+//! to a tag, and the application must `close()` it before connecting
+//! again.
+
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use morena_ndef::NdefMessage;
 use morena_nfc_sim::controller::NfcHandle;
 use morena_nfc_sim::error::{LinkError, NfcOpError};
 use morena_nfc_sim::proto::NdefTagInfo;
 use morena_nfc_sim::tag::TagUid;
+use morena_nfc_sim::world::PhoneId;
+use morena_obs::Mutex;
 
 /// Errors thrown by the blocking [`Ndef`] operations — the analog of
 /// Android's `IOException` / `TagLostException` / `FormatException`.
@@ -39,6 +47,13 @@ pub enum TagIoError {
     Protocol(&'static str),
     /// The payload on the tag is not a parseable NDEF message.
     Malformed,
+    /// I/O on a handle that is not connected (`IllegalStateException:
+    /// Call connect() first!`).
+    NotConnected,
+    /// `connect` while a technology object is connected to the tag,
+    /// this one included (`IllegalStateException: Close other
+    /// technology first!`).
+    AlreadyConnected,
 }
 
 impl std::fmt::Display for TagIoError {
@@ -53,6 +68,8 @@ impl std::fmt::Display for TagIoError {
             TagIoError::ReadOnly => write!(f, "tag is read-only"),
             TagIoError::Protocol(d) => write!(f, "protocol violation: {d}"),
             TagIoError::Malformed => write!(f, "tag payload is not valid NDEF"),
+            TagIoError::NotConnected => write!(f, "call connect() first"),
+            TagIoError::AlreadyConnected => write!(f, "close other technology first"),
         }
     }
 }
@@ -81,6 +98,12 @@ fn map_err(e: NfcOpError) -> TagIoError {
     }
 }
 
+/// Tags with a connected technology object, per world and phone: the
+/// analog of the connected technology Android keeps on each `Tag`. A
+/// world is told apart by its recorder's address, which stays taken
+/// while any handle into the world, and so any entry here, is alive.
+static CONNECTED: Mutex<BTreeSet<(usize, PhoneId, TagUid)>> = Mutex::new(BTreeSet::new());
+
 /// The blocking NDEF technology handle for one tag, in the image of
 /// `android.nfc.tech.Ndef`.
 ///
@@ -106,21 +129,43 @@ fn map_err(e: NfcOpError) -> TagIoError {
 /// let msg = NdefMessage::single(NdefRecord::mime("text/plain", b"hi".to_vec()).unwrap());
 /// ndef.write_ndef_message(&msg)?; // blocks for the full write
 /// assert_eq!(ndef.ndef_message()?, Some(msg));
+/// ndef.close(); // lets another technology object connect
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+///
+/// Dropping a connected handle closes it.
+#[derive(Debug)]
 pub struct Ndef {
     nfc: NfcHandle,
     uid: TagUid,
     info: Option<NdefTagInfo>,
+    connected: bool,
+}
+
+impl Drop for Ndef {
+    fn drop(&mut self) {
+        self.close();
+    }
 }
 
 impl Ndef {
     /// Obtains the NDEF technology handle for a discovered tag (the
     /// analog of `Ndef.get(tag)`).
     pub fn get(nfc: NfcHandle, uid: TagUid) -> Ndef {
-        Ndef { nfc, uid, info: None }
+        Ndef { nfc, uid, info: None, connected: false }
+    }
+
+    fn key(&self) -> (usize, PhoneId, TagUid) {
+        (Arc::as_ptr(self.nfc.world().obs()) as usize, self.nfc.phone(), self.uid)
+    }
+
+    fn check_connected(&self) -> Result<(), TagIoError> {
+        if self.connected {
+            Ok(())
+        } else {
+            Err(TagIoError::NotConnected)
+        }
     }
 
     /// The tag this handle is for.
@@ -128,29 +173,49 @@ impl Ndef {
         self.uid
     }
 
-    /// Connects: runs NDEF detection, blocking for its exchanges.
+    /// Connects: runs NDEF detection, blocking for its exchanges. A
+    /// failed connect leaves the handle closed.
     ///
     /// # Errors
     ///
-    /// [`TagIoError::TagLost`] / [`TagIoError::Io`] on connectivity
-    /// faults, [`TagIoError::NotNdef`] for unformatted tags.
+    /// [`TagIoError::AlreadyConnected`] while any handle to the tag is
+    /// connected, this one included; [`TagIoError::TagLost`] /
+    /// [`TagIoError::Io`] on connectivity faults,
+    /// [`TagIoError::NotNdef`] for unformatted tags.
     pub fn connect(&mut self) -> Result<(), TagIoError> {
-        let info = self.nfc.ndef_detect(self.uid).map_err(map_err)?;
+        if !CONNECTED.lock().insert(self.key()) {
+            return Err(TagIoError::AlreadyConnected);
+        }
+        self.connected = true;
+        let info = self.nfc.ndef_detect(self.uid).map_err(|e| {
+            self.close();
+            map_err(e)
+        })?;
         self.info = Some(info);
         Ok(())
     }
 
-    /// Whether `connect` succeeded and the tag is still in range.
-    pub fn is_connected(&self) -> bool {
-        self.info.is_some() && self.nfc.tag_in_range(self.uid)
+    /// Closes the connection (`Ndef.close()`), so this or another handle
+    /// can connect to the tag again. Closing a closed handle does
+    /// nothing.
+    pub fn close(&mut self) {
+        if std::mem::take(&mut self.connected) {
+            CONNECTED.lock().remove(&self.key());
+        }
     }
 
-    /// The usable capacity in bytes (requires `connect`).
+    /// Whether the handle is connected and the tag is still in range.
+    pub fn is_connected(&self) -> bool {
+        self.connected && self.nfc.tag_in_range(self.uid)
+    }
+
+    /// The usable capacity in bytes (known once a `connect` succeeded).
     pub fn max_size(&self) -> Option<usize> {
         self.info.map(|i| i.capacity)
     }
 
-    /// Whether the tag accepts writes (requires `connect`).
+    /// Whether the tag accepts writes (known once a `connect`
+    /// succeeded).
     pub fn is_writable(&self) -> Option<bool> {
         self.info.map(|i| i.writable)
     }
@@ -162,6 +227,7 @@ impl Ndef {
     ///
     /// Any [`TagIoError`]; transient ones must be retried by the caller.
     pub fn ndef_message(&self) -> Result<Option<NdefMessage>, TagIoError> {
+        self.check_connected()?;
         let bytes = self.nfc.ndef_read(self.uid).map_err(map_err)?;
         if bytes.is_empty() {
             return Ok(None);
@@ -180,6 +246,7 @@ impl Ndef {
     ///
     /// Any [`TagIoError`]; [`TagIoError::ReadOnly`] when already locked.
     pub fn make_read_only(&self) -> Result<(), TagIoError> {
+        self.check_connected()?;
         self.nfc.ndef_make_read_only(self.uid).map_err(map_err)
     }
 
@@ -191,6 +258,7 @@ impl Ndef {
     ///
     /// Any [`TagIoError`]; transient ones must be retried by the caller.
     pub fn write_ndef_message(&self, message: &NdefMessage) -> Result<(), TagIoError> {
+        self.check_connected()?;
         self.nfc.ndef_write(self.uid, &message.to_bytes()).map_err(map_err)
     }
 }
@@ -232,12 +300,52 @@ mod tests {
 
     #[test]
     fn operations_throw_when_tag_is_away() {
-        let (_world, nfc, uid) = setup();
+        let (world, nfc, uid) = setup();
         let mut ndef = Ndef::get(nfc, uid);
         assert_eq!(ndef.connect().unwrap_err(), TagIoError::TagLost);
         assert!(!ndef.is_connected());
+        // A tag lost after connecting fails the I/O itself.
+        world.tap_tag(uid, ndef.nfc.phone());
+        ndef.connect().unwrap();
+        world.remove_tag_from_field(uid);
+        assert!(!ndef.is_connected());
         assert_eq!(ndef.ndef_message().unwrap_err(), TagIoError::TagLost);
         assert_eq!(ndef.write_ndef_message(&msg("x")).unwrap_err(), TagIoError::TagLost);
+    }
+
+    #[test]
+    fn io_needs_one_connected_handle_per_tag() {
+        let (world, nfc, uid) = setup();
+        world.tap_tag(uid, nfc.phone());
+        let mut first = Ndef::get(nfc.clone(), uid);
+        let mut second = Ndef::get(nfc.clone(), uid);
+        // No I/O before connect, and no exchange is made for it.
+        let exchanges = world.radio_stats().exchanges;
+        assert_eq!(first.ndef_message().unwrap_err(), TagIoError::NotConnected);
+        assert_eq!(first.write_ndef_message(&msg("x")).unwrap_err(), TagIoError::NotConnected);
+        assert_eq!(first.make_read_only().unwrap_err(), TagIoError::NotConnected);
+        assert_eq!(world.radio_stats().exchanges, exchanges);
+        // One connected handle per tag, this one included.
+        first.connect().unwrap();
+        assert_eq!(second.connect().unwrap_err(), TagIoError::AlreadyConnected);
+        assert_eq!(first.connect().unwrap_err(), TagIoError::AlreadyConnected);
+        assert_eq!(second.ndef_message().unwrap_err(), TagIoError::NotConnected);
+        // Closing hands the tag over; closing twice is harmless.
+        first.close();
+        first.close();
+        assert_eq!(first.ndef_message().unwrap_err(), TagIoError::NotConnected);
+        second.connect().unwrap();
+        assert_eq!(second.ndef_message().unwrap(), None);
+        // Dropping a connected handle closes it.
+        drop(second);
+        first.connect().unwrap();
+        // Another phone's handle, or another world's, is independent.
+        let bob = world.add_phone("bob");
+        world.tap_tag(uid, bob);
+        Ndef::get(NfcHandle::new(world.clone(), bob), uid).connect().unwrap();
+        let (other_world, other_nfc, other_uid) = setup();
+        other_world.tap_tag(other_uid, other_nfc.phone());
+        Ndef::get(other_nfc, other_uid).connect().unwrap();
     }
 
     #[test]
@@ -255,6 +363,8 @@ mod tests {
         assert!(TagIoError::Io.is_retryable());
         assert!(!TagIoError::ReadOnly.is_retryable());
         assert!(!TagIoError::NotNdef.is_retryable());
+        assert!(!TagIoError::NotConnected.is_retryable());
+        assert!(!TagIoError::AlreadyConnected.is_retryable());
     }
 
     #[test]
@@ -268,6 +378,7 @@ mod tests {
         assert_eq!(ndef.write_ndef_message(&msg("x")).unwrap_err(), TagIoError::ReadOnly);
         assert_eq!(ndef.ndef_message().unwrap(), Some(msg("keep me")));
         // Reconnecting reports the protection.
+        ndef.close();
         ndef.connect().unwrap();
         assert_eq!(ndef.is_writable(), Some(false));
         assert_eq!(ndef.make_read_only().unwrap_err(), TagIoError::ReadOnly);
@@ -295,6 +406,8 @@ mod tests {
             TagIoError::ReadOnly,
             TagIoError::Protocol("x"),
             TagIoError::Malformed,
+            TagIoError::NotConnected,
+            TagIoError::AlreadyConnected,
         ] {
             assert!(!e.to_string().is_empty());
         }

@@ -144,7 +144,9 @@ fn handcrafted_trial(n: usize, seed: u64) -> (usize, bool, u64) {
         let mut ndef = Ndef::get(nfc.clone(), uid);
         let mut ok = false;
         for _ in 0..16 {
-            if ndef.connect().and_then(|()| ndef.write_ndef_message(&message)).is_ok() {
+            let written = ndef.connect().and_then(|()| ndef.write_ndef_message(&message));
+            ndef.close();
+            if written.is_ok() {
                 ok = true;
                 break;
             }

@@ -134,6 +134,7 @@ fn handcrafted_trial(
                     attempts += 1;
                     let ok =
                         ndef.connect().and_then(|()| ndef.write_ndef_message(&message)).is_ok();
+                    ndef.close();
                     if ok {
                         success = true;
                         break;

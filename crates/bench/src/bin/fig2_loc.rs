@@ -74,11 +74,20 @@ fn main() -> ExitCode {
         eprintln!("fig2_loc: FAIL: MORENA's share must be dominated by event handling");
         failed = true;
     }
+    for subproblem in Subproblem::ALL {
+        if handcrafted.count(subproblem) < morena.count(subproblem) {
+            eprintln!("fig2_loc: FAIL: {subproblem} got cheaper in the handcrafted version");
+            failed = true;
+        }
+    }
     report.metric("failed", if failed { 1.0 } else { 0.0 });
     report.write().expect("write BENCH_fig2_loc.json");
     if failed {
         return ExitCode::FAILURE;
     }
-    println!("\nshape checks passed: concurrency=0 for MORENA; event handling dominates MORENA.");
+    println!(
+        "\nshape checks passed: concurrency=0 for MORENA; event handling dominates MORENA; \
+         no subproblem is cheaper handcrafted."
+    );
     ExitCode::SUCCESS
 }

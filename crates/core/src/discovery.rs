@@ -15,13 +15,25 @@
 //! * [`DiscoveryListener::check_condition`] — the §3.4 fine-grained
 //!   filter predicate, evaluated against the reference (typically its
 //!   freshly cached value) before any callback fires.
+//!
+//! Each sighting needs a pre-read: discovery must learn what is on a tag
+//! before it can tell whether the tag is relevant. A discoverer's thread
+//! only receives field events and does no I/O. For each sighting it
+//! starts a short-lived task on a shard of the context's pool, which
+//! reads the tag over the same non-blocking radio path the event loops
+//! use and waits out air time on the shard's timer heap. So a burst of
+//! taps keeps all its pre-reads on the air at once instead of queueing
+//! them behind one another. One pre-read per tag runs at a time; a tag
+//! sighted again while its pre-read runs is read once more after it.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use morena_ndef::NdefMessage;
+use morena_nfc_sim::controller::{AirLog, TagSession};
 use morena_nfc_sim::tag::{TagTech, TagUid};
 use morena_nfc_sim::world::NfcEvent;
 use morena_obs::inspect::{ComponentSnapshot, DiscoverySnapshot, SnapshotProvider};
@@ -31,14 +43,16 @@ use morena_obs::{trace, EventKind, MemFootprint, TraceContext};
 use crate::context::MorenaContext;
 use crate::convert::TagDataConverter;
 use crate::policy::Policy;
+use crate::sched::{LoopPoll, PollTask};
 use crate::tagref::TagReference;
 
 /// How many times discovery retries the initial content read while the
 /// tag stays in range (mirrors the platform pre-read).
 const DISCOVERY_READ_ATTEMPTS: usize = 3;
 
-/// Application callbacks for tag discovery. All methods run on the main
-/// thread.
+/// Application callbacks for tag discovery. The callbacks run on the main
+/// thread; [`check_condition`](DiscoveryListener::check_condition) runs
+/// before them, on the pool.
 pub trait DiscoveryListener<C: TagDataConverter>: Send + Sync + 'static {
     /// A tag of this discoverer's type was seen for the very first time.
     fn on_tag_detected(&self, reference: TagReference<C>);
@@ -54,6 +68,12 @@ pub trait DiscoveryListener<C: TagDataConverter>: Send + Sync + 'static {
     /// Fine-grained filter (§3.4): when this returns `false` the
     /// detection callbacks are suppressed for this sighting. The default
     /// accepts everything.
+    ///
+    /// Unlike the callbacks, this runs on a worker of the context's
+    /// pool, at the end of the sighting's pre-read. It must not block on
+    /// a middleware operation (such as [`TagReference::read_sync`]),
+    /// which may need that same worker; decide from the reference's
+    /// freshly cached value instead.
     fn check_condition(&self, reference: &TagReference<C>) -> bool {
         let _ = reference;
         true
@@ -66,6 +86,9 @@ struct DiscovererInner<C: TagDataConverter> {
     listener: Arc<dyn DiscoveryListener<C>>,
     policy: Policy,
     references: Mutex<HashMap<TagUid, TagReference<C>>>,
+    /// Tags with a pre-read running, each with the trace of a sighting
+    /// that arrived meanwhile, if any (see `handle_entered`).
+    prereads: Mutex<HashMap<TagUid, Option<Option<TraceContext>>>>,
     stop: AtomicBool,
 }
 
@@ -81,8 +104,10 @@ impl<C: TagDataConverter> MemFootprint for DiscovererInner<C> {
         // `Arc` into an event loop that reports its own bytes through
         // its loop snapshot, so only the map slot is attributed here.
         let entries = self.references.lock().capacity() as u64;
+        let prereads = self.prereads.lock().capacity() as u64;
         std::mem::size_of::<Self>() as u64
             + entries * std::mem::size_of::<(TagUid, TagReference<C>)>() as u64
+            + prereads * std::mem::size_of::<(TagUid, Option<Option<TraceContext>>)>() as u64
     }
 }
 
@@ -93,11 +118,15 @@ impl<C: TagDataConverter> SnapshotProvider for DiscovererInner<C> {
             let closed = references.values().filter(|r| r.is_closed()).count();
             (references.len() - closed, closed)
         };
+        // Hoisted out of the literal: a `.lock()` temporary inside it
+        // would still be held when `mem_bytes` re-locks `prereads`.
+        let prereads = self.prereads.lock().len();
         ComponentSnapshot::Discovery(DiscoverySnapshot {
             phone: self.ctx.phone().as_u64(),
             mime: self.converter.mime_type().to_owned(),
             live_refs: live,
             closed_refs: closed,
+            prereads,
             mem_bytes: self.mem_bytes(),
         })
     }
@@ -107,7 +136,8 @@ impl<C: TagDataConverter> SnapshotProvider for DiscovererInner<C> {
 /// type and hands out unique [`TagReference`]s for them.
 ///
 /// Dropping the last handle stops discovery: no callback fires for any
-/// later sighting, and the discovery thread exits within one
+/// later sighting or for a pre-read still on the air, and the discovery
+/// thread exits within one
 /// [`discovery_cadence`](Policy::discovery_cadence). References the
 /// application still holds keep working until [`TagReference::close`]
 /// (reclaiming references is the application's responsibility, §3.2).
@@ -157,6 +187,7 @@ impl<C: TagDataConverter> TagDiscoverer<C> {
             listener,
             policy,
             references: Mutex::new(HashMap::new()),
+            prereads: Mutex::new(HashMap::new()),
             stop: AtomicBool::new(false),
         });
         inner.ctx.nfc().world().obs().inspector().register(
@@ -205,9 +236,11 @@ impl<C: TagDataConverter> TagDiscoverer<C> {
 
     /// Stops discovery (references stay alive). No callback is delivered
     /// for any sighting after this returns: the discovery thread checks
-    /// the flag before handling each event. The idle thread itself parks
-    /// until its next event or cadence heartbeat before exiting, which
-    /// is harmless — it delivers nothing once stopped.
+    /// the flag before handling each event, and a pre-read still on the
+    /// air checks it at its next poll and again before delivering, then
+    /// ends. The idle thread itself parks until its next event or
+    /// cadence heartbeat before exiting, which is harmless — it delivers
+    /// nothing once stopped.
     pub fn stop(&self) {
         self.inner.stop.store(true, Ordering::Release);
     }
@@ -251,17 +284,26 @@ fn spawn_discovery_thread<C: TagDataConverter>(
         .expect("spawn discovery thread");
 }
 
+/// Roots a sighting's causal trace and starts its pre-read on the pool.
+///
+/// One pre-read per tag runs at a time. A sighting of a tag whose
+/// pre-read is still running starts no second one: it asks the running
+/// one to read the tag once more when it ends (several such sightings
+/// collapse into one re-read, under the latest one's trace). So one
+/// tag's callbacks arrive in sighting order, its first detection comes
+/// before any redetection, and the identity map is never raced into two
+/// references.
 fn handle_entered<C: TagDataConverter>(
     inner: &Arc<DiscovererInner<C>>,
     uid: TagUid,
     tech: TagTech,
 ) {
-    // Every sighting roots a fresh causal trace: the pre-read below, the
+    // Every sighting roots a fresh causal trace: the pre-read, the
     // detection event, and — because the listener callback runs under
     // this scope — any operation the application submits on the minted
     // reference all share one trace_id ("discovery-minted references").
-    let world_recorder = Arc::clone(inner.ctx.nfc().world().obs());
-    let trace_ctx = if world_recorder.is_enabled() {
+    let world_recorder = inner.ctx.nfc().world().obs();
+    let trace = if world_recorder.is_enabled() {
         let trace_id = world_recorder.next_trace_id();
         let span_id = world_recorder.next_span_id();
         Some(if inner.policy.trace_sample.admits(trace_id) {
@@ -272,24 +314,117 @@ fn handle_entered<C: TagDataConverter>(
     } else {
         None
     };
-    let _scope = trace::enter(trace_ctx);
+    let running = match inner.prereads.lock().entry(uid) {
+        Entry::Occupied(mut running) => {
+            running.insert(Some(trace));
+            true
+        }
+        Entry::Vacant(slot) => {
+            slot.insert(None);
+            false
+        }
+    };
+    // Counted once the sighting is on record, so a reader that sees the
+    // count also sees the pre-read (or re-read) it asked for.
+    world_recorder.metrics().counter("discovery.sightings").inc();
+    if running {
+        return;
+    }
+    inner.ctx.execution().spawn(Arc::new(PreRead {
+        discoverer: Arc::downgrade(inner),
+        uid,
+        tech,
+        read: Mutex::new(ReadState { trace, attempts: 0, air: AirLog::new() }),
+    }));
+}
 
-    // Discovery pre-read: learn what is on the tag (with a couple of
-    // retries — arrival is the moment the link is weakest).
-    let nfc = inner.ctx.nfc();
-    let mut bytes = None;
-    for _ in 0..DISCOVERY_READ_ATTEMPTS {
-        match nfc.ndef_read(uid) {
-            Ok(b) => {
-                bytes = Some(b);
-                break;
+/// One tag's discovery pre-read, a short-lived task on a shard of the
+/// context's pool. A poll runs the read as far as the radio allows
+/// without waiting; while an exchange is on the air the task waits on
+/// the shard's timer heap, so one worker keeps any number of pre-reads
+/// on the air at once.
+struct PreRead<C: TagDataConverter> {
+    /// Held weakly: a stopped or dropped discoverer ends the task at its
+    /// next poll, and nothing is delivered for it.
+    discoverer: Weak<DiscovererInner<C>>,
+    uid: TagUid,
+    tech: TagTech,
+    read: Mutex<ReadState>,
+}
+
+struct ReadState {
+    /// The sighting's trace: the read's exchanges and the delivery run
+    /// under it.
+    trace: Option<TraceContext>,
+    /// Attempts ended so far.
+    attempts: usize,
+    air: AirLog,
+}
+
+impl<C: TagDataConverter> PollTask for PreRead<C> {
+    fn poll(&self) -> LoopPoll {
+        let Some(inner) = self.discoverer.upgrade() else { return LoopPoll::Park };
+        let mut read = self.read.lock();
+        if !inner.stop.load(Ordering::Acquire) {
+            let ReadState { trace, attempts, air } = &mut *read;
+            let trace = *trace;
+            let nfc = inner.ctx.nfc();
+            let bytes = trace::with(trace, || nfc.resume_tag(self.uid, air).ndef_read());
+            if let Some(wake) = air.take_wake() {
+                return LoopPoll::RunnableAt(wake);
             }
-            Err(e) if e.is_transient() && nfc.tag_in_range(uid) => continue,
-            Err(_) => break,
+            air.clear();
+            *attempts += 1;
+            match bytes {
+                // Arrival is the moment the link is weakest: retry
+                // while the tag stays.
+                Err(e)
+                    if e.is_transient()
+                        && *attempts < DISCOVERY_READ_ATTEMPTS
+                        && nfc.tag_in_range(self.uid) =>
+                {
+                    return LoopPoll::Runnable;
+                }
+                Ok(bytes) if !inner.stop.load(Ordering::Acquire) => {
+                    trace::with(trace, || deliver(&inner, self.uid, self.tech, &bytes, trace));
+                }
+                _ => {}
+            }
+        }
+        // This read is over: read again for a sighting that arrived
+        // meanwhile, or retire.
+        let mut prereads = inner.prereads.lock();
+        match prereads.get_mut(&self.uid).and_then(Option::take) {
+            Some(trace) => {
+                read.trace = trace;
+                read.attempts = 0;
+                LoopPoll::Runnable
+            }
+            None => {
+                prereads.remove(&self.uid);
+                LoopPoll::Park
+            }
         }
     }
-    let Some(bytes) = bytes else { return };
 
+    // Only the pool wakes a pre-read (when spawned, re-queued or due on
+    // its timer), one wake per poll, so it needs no scheduled flag.
+    fn try_schedule(&self) -> bool {
+        true
+    }
+
+    fn clear_scheduled(&self) {}
+}
+
+/// The pre-read's outcome: classifies the tag's content, resolves the
+/// unique reference, and posts the callback to the main thread.
+fn deliver<C: TagDataConverter>(
+    inner: &DiscovererInner<C>,
+    uid: TagUid,
+    tech: TagTech,
+    bytes: &[u8],
+    trace_ctx: Option<TraceContext>,
+) {
     enum Sighting<V> {
         Blank,
         Value(V),
@@ -298,7 +433,7 @@ fn handle_entered<C: TagDataConverter>(
     let sighting = if bytes.is_empty() {
         Sighting::Blank
     } else {
-        match NdefMessage::parse(&bytes) {
+        match NdefMessage::parse(bytes) {
             Ok(message) if message.is_blank() => Sighting::Blank,
             Ok(message) if inner.converter.accepts(&message) => {
                 match inner.converter.from_message(&message) {

@@ -22,7 +22,9 @@
 //!   worker, fed back through the shard's [`WaitSignal`] so virtual
 //!   clocks drive them like any other sleeper. A poll never waits on the
 //!   radio, so one worker keeps any number of its loops' exchanges on
-//!   the air at once.
+//!   the air at once;
+//! * a short-lived task (discovery's pre-read) is placed on a shard for
+//!   as long as it runs, without being counted as a pinned loop.
 //!
 //! Scheduler health is observable through the `scheduler.*` metrics:
 //! `scheduler.polls` / `scheduler.parks` / `scheduler.wakeups` /
@@ -226,6 +228,9 @@ impl Ord for Timer {
 pub(crate) struct Scheduler {
     shards: Vec<Arc<Shard>>,
     next_shard: AtomicUsize,
+    /// Round-robin cursor for short-lived tasks, apart from `next_shard`
+    /// so they do not shift where loops are pinned.
+    next_task: AtomicUsize,
     shutdown: Arc<AtomicBool>,
 }
 
@@ -267,7 +272,12 @@ impl Scheduler {
                 .spawn(move || worker(&shard, &clock, &shutdown))
                 .expect("spawn scheduler worker");
         }
-        Scheduler { shards, next_shard: AtomicUsize::new(0), shutdown }
+        Scheduler {
+            shards,
+            next_shard: AtomicUsize::new(0),
+            next_task: AtomicUsize::new(0),
+            shutdown,
+        }
     }
 
     /// Pins a new task to a shard (round-robin).
@@ -275,6 +285,15 @@ impl Scheduler {
         let i = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
         self.shards[i].owned.fetch_add(1, Ordering::Relaxed);
         Arc::clone(&self.shards[i])
+    }
+
+    /// Places a short-lived task on a shard (round-robin) and wakes it.
+    /// Unlike [`Scheduler::assign`] this pins nothing for life: `owned`
+    /// keeps counting loops, and the task leaves the pool when it parks
+    /// with nothing else holding it.
+    pub(crate) fn spawn(&self, task: Arc<dyn PollTask>) {
+        let i = self.next_task.fetch_add(1, Ordering::Relaxed) % self.shards.len();
+        self.shards[i].wake(task);
     }
 
     /// The policy this pool runs, with the worker count as clamped.

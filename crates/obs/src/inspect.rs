@@ -183,6 +183,8 @@ pub struct DiscoverySnapshot {
     pub live_refs: usize,
     /// Closed references awaiting their sweep.
     pub closed_refs: usize,
+    /// Tags whose discovery pre-read is still running.
+    pub prereads: usize,
     /// Best-effort deep bytes held by the identity map itself (the
     /// references' loops report their own bytes).
     pub mem_bytes: u64,
@@ -842,11 +844,12 @@ fn render_top_inner(
             }
             ComponentSnapshot::Discovery(d) => {
                 out.push_str(&format!(
-                    "discovery phone-{} ({}): {} live, {} closed, mem {}\n",
+                    "discovery phone-{} ({}): {} live, {} closed, {} reading, mem {}\n",
                     d.phone,
                     d.mime,
                     d.live_refs,
                     d.closed_refs,
+                    d.prereads,
                     fmt_bytes(d.mem_bytes)
                 ));
             }
@@ -1148,6 +1151,7 @@ mod tests {
                         mime: "text/plain".into(),
                         live_refs: 1,
                         closed_refs: 0,
+                        prereads: 0,
                         mem_bytes: 64,
                     }),
                 },

@@ -1,6 +1,7 @@
 //! Middleware thread census: under the sharded execution policy the
 //! number of middleware threads must stay bounded by the worker-pool
-//! size plus a small constant, no matter how many far references exist.
+//! size plus a small constant, no matter how many far references exist
+//! or how many tags discovery pre-reads at once.
 //!
 //! This file holds exactly one test on purpose: the census walks
 //! `/proc/self/task`, so a sibling test running concurrently in the same
@@ -11,6 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use morena::core::policy::{Backoff, Policy};
+use morena::obs::inspect::ShardSnapshot;
 use morena::prelude::*;
 
 /// Names of all live threads in this process that belong to the
@@ -25,6 +27,23 @@ fn morena_threads() -> Vec<String> {
         .map(|comm| comm.trim().to_string())
         .filter(|comm| comm.starts_with("morena"))
         .collect()
+}
+
+/// Counts blank-tag sightings.
+struct CountBlanks(std::sync::mpsc::Sender<()>);
+
+impl DiscoveryListener<StringConverter> for CountBlanks {
+    fn on_tag_detected(&self, _: TagReference<StringConverter>) {}
+    fn on_tag_redetected(&self, _: TagReference<StringConverter>) {}
+    fn on_empty_tag(&self, _: TagReference<StringConverter>) {
+        self.0.send(()).unwrap();
+    }
+}
+
+/// Loops pinned to the context's shards, as the inspector reports them.
+fn loops_owned(world: &World) -> u64 {
+    let snapshot = world.obs().inspector().snapshot(0);
+    snapshot.shards().map(|s: &ShardSnapshot| s.loops_owned).sum()
 }
 
 #[test]
@@ -80,7 +99,43 @@ fn sharded_pool_bounds_middleware_threads_at_scale() {
         done_rx.recv_timeout(Duration::from_secs(60)).expect("write resolves");
     }
     assert!(done_rx.try_recv().is_err(), "no duplicate completions");
-    for reference in references {
+    assert_eq!(loops_owned(&world), REFS as u64);
+
+    // Discovery: tapping a burst of badges at once runs every pre-read on
+    // the same pool. Only the discoverer's event thread is added, and the
+    // shards count the loops of the references minted, not the pre-reads.
+    const BADGES: usize = 200;
+    let (seen_tx, seen_rx) = channel();
+    let disco = TagDiscoverer::new(
+        &ctx,
+        Arc::new(StringConverter::plain_text()),
+        Arc::new(CountBlanks(seen_tx)),
+    );
+    let census = std::path::Path::new("/proc/self/task").exists();
+    // The discoverer's thread names itself once it runs.
+    let named_by = std::time::Instant::now() + Duration::from_secs(10);
+    while census && !morena_threads().iter().any(|n| n.starts_with("morena-discov")) {
+        assert!(std::time::Instant::now() < named_by, "no discovery thread");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let before = morena_threads();
+    for i in 0..BADGES {
+        let uid = world.add_tag(Box::new(Type2Tag::ntag215(TagUid::from_seed((REFS + i) as u32))));
+        world.tap_tag(uid, phone);
+    }
+    if census {
+        assert_eq!(morena_threads(), before, "a burst of taps started a thread");
+        assert!(before.len() <= WORKERS + 2, "pool + router + discovery, got {before:?}");
+    }
+    for _ in 0..BADGES {
+        seen_rx.recv_timeout(Duration::from_secs(60)).expect("badge detected");
+    }
+    if census {
+        assert_eq!(morena_threads(), before, "the pre-reads started a thread");
+    }
+    assert_eq!(disco.references().len(), BADGES);
+    assert_eq!(loops_owned(&world), (REFS + BADGES) as u64, "shards count loops only");
+    for reference in references.into_iter().chain(disco.references()) {
         reference.close();
     }
 }

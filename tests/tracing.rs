@@ -1,7 +1,9 @@
 //! End-to-end causal tracing: a beam from one phone triggers a tag
 //! write in the receiver's handler, and the whole chain — sender op,
 //! in-band NDEF trace record, receiver handler, handler-issued write —
-//! carries **one** trace id with correct parent/child span edges.
+//! carries **one** trace id with correct parent/child span edges. A tag
+//! sighting likewise roots one trace over discovery's pre-read, the
+//! detection and the write its callback submits.
 
 use std::sync::mpsc::channel;
 use std::sync::Arc;
@@ -135,6 +137,83 @@ fn beam_chain_carries_one_trace(policy: ExecutionPolicy, seed: u64) {
 #[test]
 fn beam_chain_carries_one_trace_sharded() {
     beam_chain_carries_one_trace(ExecutionPolicy::Sharded { workers: 2 }, 62);
+}
+
+/// Writes a stamp onto every tag it detects and reports the outcome.
+struct StampOnDetect(std::sync::mpsc::Sender<bool>);
+
+impl DiscoveryListener<StringConverter> for StampOnDetect {
+    fn on_tag_detected(&self, reference: TagReference<StringConverter>) {
+        let (ok, failed) = (self.0.clone(), self.0.clone());
+        reference.write(
+            "stamped".to_string(),
+            move |_| {
+                let _ = ok.send(true);
+            },
+            move |_, _| {
+                let _ = failed.send(false);
+            },
+        );
+    }
+
+    fn on_tag_redetected(&self, _: TagReference<StringConverter>) {}
+}
+
+/// A sighting roots one trace: the discovery pre-read's exchanges, the
+/// detection, the write the detection callback submits on the minted
+/// reference and that write's own exchanges all carry its trace id.
+#[test]
+fn discovery_pre_read_and_detection_write_share_the_sighting_trace() {
+    use morena::sim::proto::{write_ndef, DirectLink};
+
+    let world = World::with_link(VirtualClock::shared(), LinkModel::instant(), 64);
+    let ring = Arc::new(RingSink::new(4_096));
+    world.obs().install(ring.clone());
+    let phone = world.add_phone("kiosk");
+    let ctx = MorenaContext::headless(&world, phone);
+    let uid = world.add_tag(Box::new(Type2Tag::ntag215(TagUid::from_seed(8))));
+    let badge = StringConverter::plain_text().to_message(&"badge".to_string()).unwrap();
+    world
+        .with_tag(uid, |tag| {
+            write_ndef(&mut DirectLink::new(tag), TagTech::Type2, &badge.to_bytes())
+        })
+        .expect("tag in the world")
+        .expect("fits an NTAG215");
+
+    let (tx, rx) = channel();
+    let _disco = TagDiscoverer::new(
+        &ctx,
+        Arc::new(StringConverter::plain_text()),
+        Arc::new(StampOnDetect(tx)),
+    );
+    world.tap_tag(uid, phone);
+    assert!(rx.recv_timeout(Duration::from_secs(10)).unwrap(), "the stamp write failed");
+    world.obs().flush();
+    let events = ring.snapshot();
+
+    let (sighting, _) = traced(&events, |k| matches!(k, EventKind::TagDetected { .. }));
+    assert!(sighting.is_root(), "a sighting roots its trace");
+    let (write, _) =
+        traced(&events, |k| matches!(k, EventKind::OpEnqueued { op: OpKind::Write, .. }));
+    assert_eq!(write.trace_id, sighting.trace_id, "the callback's write joins the sighting");
+    let detected_at = events
+        .iter()
+        .position(|e| matches!(e.kind, EventKind::TagDetected { .. }))
+        .expect("a detection");
+    let exchanges: Vec<_> =
+        events.iter().filter(|e| matches!(e.kind, EventKind::PhysExchange { .. })).collect();
+    let pre_read = events[..detected_at]
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::PhysExchange { .. }))
+        .count();
+    assert!(pre_read > 0 && exchanges.len() > pre_read, "pre-read and write both exchanged");
+    for exchange in exchanges {
+        assert_eq!(
+            exchange.trace.map(|t| t.trace_id),
+            Some(sighting.trace_id),
+            "every exchange belongs to the sighting's trace: {exchange:?}"
+        );
+    }
 }
 
 /// A trace-stamped message is passed through untouched by the
