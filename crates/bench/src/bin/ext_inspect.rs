@@ -11,7 +11,7 @@
 //!    the budget is < 1% (see `EXPERIMENTS.md`).
 //! 2. **Artifacts** — a deliberately broken run (a `stuck_tag` fault
 //!    plan at rate 1.0, so every exchange dwells and fails) that the
-//!    watchdog must flag. The final [`HealthReport`] is written as JSON
+//!    watchdog must flag. The final [`HealthReport`](morena_obs::inspect::HealthReport) is written as JSON
 //!    (first CLI argument, default `ext_inspect_health.json`) and the
 //!    full event stream is exported as Chrome `trace_event` JSON for
 //!    Perfetto (second argument, default `ext_inspect_trace.json`).

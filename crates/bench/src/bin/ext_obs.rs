@@ -14,7 +14,7 @@
 //!
 //! After the run the binary prints the metrics snapshot (counters and
 //! latency histograms with p50/p95/p99), then joins middleware events
-//! with physical presence via [`morena_obs::correlate`] and prints, per
+//! with physical presence via [`morena_obs::correlate()`] and prints, per
 //! op, the split into **out-of-range wait** / **exchange time** /
 //! **queue delay** — the three components that sum exactly to the
 //! observed latency. The same breakdowns are echoed as JSON lines so

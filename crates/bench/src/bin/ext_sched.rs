@@ -14,6 +14,10 @@
 //! `alloc-profile` allocator is compiled in, and gated in CI through
 //! `benches/baseline.json`).
 //!
+//! A third phase writes over a link with air time: every exchange waits
+//! on its shard's timer heap, so each attempt resumes once per command.
+//! Its near-deterministic allocations per op are gated in CI.
+//!
 //! Flags:
 //!
 //! * `--sizes 100,1000` — comma-separated swarm sizes (default
@@ -172,6 +176,39 @@ fn run(size: usize, seed: u64) -> RunResult {
     }
 }
 
+/// Allocations per write over a link with air time: 200 references,
+/// one write each per round, measured on the second round so the
+/// completion-core freelist is warm. One write per reference means no
+/// submission wakes a loop whose attempt is on the air.
+fn run_waiting_link() -> f64 {
+    const REFS: usize = 200;
+    let world = World::with_link(Arc::new(SystemClock::new()), LinkModel::reliable(), 7);
+    let phone = world.add_phone("bench");
+    let ctx = MorenaContext::headless(&world, phone);
+    let converter = Arc::new(StringConverter::plain_text());
+    let references: Vec<_> = (0..REFS as u32)
+        .map(|seed| {
+            let uid = world.add_tag(Box::new(Type2Tag::ntag215(TagUid::from_seed(seed))));
+            world.tap_tag(uid, phone);
+            TagReference::new(&ctx, uid, TagTech::Type2, Arc::clone(&converter))
+        })
+        .collect();
+    let round = |label: &str| {
+        let (done_tx, done_rx) = channel();
+        for (i, reference) in references.iter().enumerate() {
+            let done_tx = done_tx.clone();
+            reference.write_ok(format!("{label}-{i}"), move |_| done_tx.send(()).unwrap_or(()));
+        }
+        for _ in 0..REFS {
+            done_rx.recv_timeout(Duration::from_secs(60)).expect("write resolves");
+        }
+    };
+    round("warm");
+    let scope = AllocScope::global();
+    round("gate");
+    scope.stats().allocs as f64 / REFS as f64
+}
+
 struct CachedReadResult {
     ops: usize,
     elapsed: Duration,
@@ -316,5 +353,10 @@ fn main() {
     );
     report.metric("ops_per_sec@cached_read_sharded", cached.ops_per_sec());
     report.metric("allocs_per_op@cached_read_sharded", cached.allocs_per_op());
+
+    // Phase 3: writes over a link with air time.
+    let waiting = run_waiting_link();
+    println!("\nwrites over a link with air time (LinkModel::reliable): {waiting:.2} allocs/op");
+    report.metric("allocs_per_op@waiting_link", waiting);
     report.write().expect("write BENCH_ext_sched.json");
 }

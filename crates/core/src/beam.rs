@@ -17,47 +17,51 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use morena_ndef::NdefMessage;
-use morena_nfc_sim::controller::{AirLog, NfcHandle};
+use morena_nfc_sim::controller::{NfcHandle, Resume};
 use morena_nfc_sim::error::NfcOpError;
-use morena_nfc_sim::world::NfcEvent;
+use morena_nfc_sim::world::{NfcEvent, PhoneId};
 use morena_obs::Mutex;
 use morena_obs::{trace, EventKind, MemFootprint};
 
 use crate::context::MorenaContext;
 use crate::convert::TagDataConverter;
 use crate::eventloop::{
-    EventLoop, ObsScope, OpExecutor, OpFailure, OpRequest, OpResponse, OpStats,
+    Attempted, EventLoop, ObsScope, OpExecutor, OpFailure, OpRequest, OpResponse, OpStats, Progress,
 };
 use crate::future::UnitFuture;
 use crate::policy::Policy;
 use crate::router::RouteGuard;
 use crate::tracewire;
 
-struct BeamExecutor {
-    nfc: NfcHandle,
+/// The physical executor behind a [`Beamer`] (`to: None`, any peer in
+/// range) and a [`PeerReference`](crate::peer::PeerReference) (one peer):
+/// one push per attempt.
+pub(crate) struct PushExecutor {
+    pub(crate) nfc: NfcHandle,
+    pub(crate) to: Option<PhoneId>,
 }
 
-impl OpExecutor for BeamExecutor {
+impl OpExecutor for PushExecutor {
     fn connected(&self) -> bool {
-        self.nfc.any_peer_in_range()
+        match self.to {
+            Some(peer) => self.nfc.peer_in_range(peer),
+            None => self.nfc.any_peer_in_range(),
+        }
     }
 
-    fn execute(&self, request: &OpRequest, air: &mut AirLog) -> Result<OpResponse, NfcOpError> {
-        match request {
-            OpRequest::Push(bytes) => {
-                // The poll loop runs this under the op's ambient trace
-                // scope; a sampled context rides the payload in-band so
-                // the receiving phone's handler joins the trace. The
-                // stamp is the same on every run of the attempt.
-                let stamped = tracewire::stamp_outgoing(bytes);
-                let payload = stamped.as_deref().unwrap_or(bytes);
-                self.nfc
-                    .resume_beam(air, payload)
-                    .map(|_| OpResponse::Done)
-                    .map_err(NfcOpError::Link)
-            }
-            _ => Err(NfcOpError::Protocol("beamer only pushes")),
-        }
+    fn execute(&self, request: &OpRequest, progress: &mut Progress) -> Attempted {
+        let OpRequest::Push(bytes) = request else {
+            return Resume::Ready(Err(NfcOpError::Protocol("peers only take pushes")));
+        };
+        // The poll loop runs this under the op's ambient trace scope; a
+        // sampled context rides the payload in-band so the receiving
+        // phone's handler joins the trace. The stamp is the same on the
+        // poll that begins the push and on the one that lands it.
+        let stamped = tracewire::stamp_outgoing(bytes);
+        let payload = stamped.as_deref().unwrap_or(bytes);
+        self.nfc
+            .resume_beam(&mut progress.session, self.to, payload)
+            .map(|pushed| pushed.map(|_| OpResponse::Done).map_err(NfcOpError::Link))
     }
 }
 
@@ -136,7 +140,7 @@ impl<C: TagDataConverter> Beamer<C> {
             Arc::clone(ctx.clock()),
             ctx.handler(),
             policy,
-            BeamExecutor { nfc: ctx.nfc().clone() },
+            PushExecutor { nfc: ctx.nfc().clone(), to: None },
             // Beaming is undirected; `*` tells the correlator to count
             // *any* peer in range as reachability for these ops.
             ObsScope::new(ctx, "beamer".into(), "beam", "*".into()),

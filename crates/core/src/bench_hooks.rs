@@ -13,10 +13,11 @@ use std::time::Duration;
 
 use morena_android_sim::looper::MainThread;
 use morena_nfc_sim::clock::{Clock, SystemClock};
-use morena_nfc_sim::controller::AirLog;
-use morena_nfc_sim::error::NfcOpError;
+use morena_nfc_sim::controller::Resume;
 
-use crate::eventloop::{EventLoop, ObsScope, OpExecutor, OpRequest, OpResponse, OpStatsSnapshot};
+use crate::eventloop::{
+    Attempted, EventLoop, ObsScope, OpExecutor, OpRequest, OpResponse, OpStatsSnapshot, Progress,
+};
 use crate::future::block_on;
 use crate::policy::Policy;
 use crate::sched::{ExecutionPolicy, Scheduler};
@@ -31,15 +32,15 @@ impl OpExecutor for NullExecutor {
         true
     }
 
-    fn execute(&self, request: &OpRequest, _: &mut AirLog) -> Result<OpResponse, NfcOpError> {
-        match request {
+    fn execute(&self, request: &OpRequest, _: &mut Progress) -> Attempted {
+        Resume::Ready(match request {
             OpRequest::Read => Ok(OpResponse::Bytes(Vec::new())),
             _ => Ok(OpResponse::Done),
-        }
+        })
     }
 }
 
-/// One event loop over a [`NullExecutor`], plus the main thread and
+/// One event loop over a `NullExecutor`, plus the main thread and
 /// worker pool keeping it alive. Every operation completes on its first
 /// attempt, so the calling thread measures exactly the per-op machinery:
 /// pool acquire, enqueue, wake, attempt, claim, resolve, recycle.

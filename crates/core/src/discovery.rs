@@ -33,7 +33,8 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, Weak};
 
 use morena_ndef::NdefMessage;
-use morena_nfc_sim::controller::{AirLog, TagSession};
+use morena_nfc_sim::controller::{Resume, Session};
+use morena_nfc_sim::proto::{NdefOp, Outcome};
 use morena_nfc_sim::tag::{TagTech, TagUid};
 use morena_nfc_sim::world::NfcEvent;
 use morena_obs::inspect::{ComponentSnapshot, DiscoverySnapshot, SnapshotProvider};
@@ -334,15 +335,16 @@ fn handle_entered<C: TagDataConverter>(
         discoverer: Arc::downgrade(inner),
         uid,
         tech,
-        read: Mutex::new(ReadState { trace, attempts: 0, air: AirLog::new() }),
+        read: Mutex::new(ReadState { trace, attempts: 0, session: Session::default() }),
     }));
 }
 
 /// One tag's discovery pre-read, a short-lived task on a shard of the
-/// context's pool. A poll runs the read as far as the radio allows
-/// without waiting; while an exchange is on the air the task waits on
-/// the shard's timer heap, so one worker keeps any number of pre-reads
-/// on the air at once.
+/// context's pool. A poll resumes the read's [`Session`] as far as the
+/// radio allows without waiting; while an exchange is on the air the
+/// task waits on the shard's timer heap, so one worker keeps any number
+/// of pre-reads on the air at once. The next poll goes on from the
+/// session and re-runs nothing.
 struct PreRead<C: TagDataConverter> {
     /// Held weakly: a stopped or dropped discoverer ends the task at its
     /// next poll, and nothing is delivered for it.
@@ -358,7 +360,8 @@ struct ReadState {
     trace: Option<TraceContext>,
     /// Attempts ended so far.
     attempts: usize,
-    air: AirLog,
+    /// The read on the go; it holds no procedure between attempts.
+    session: Session,
 }
 
 impl<C: TagDataConverter> PollTask for PreRead<C> {
@@ -366,14 +369,16 @@ impl<C: TagDataConverter> PollTask for PreRead<C> {
         let Some(inner) = self.discoverer.upgrade() else { return LoopPoll::Park };
         let mut read = self.read.lock();
         if !inner.stop.load(Ordering::Acquire) {
-            let ReadState { trace, attempts, air } = &mut *read;
+            let ReadState { trace, attempts, session } = &mut *read;
             let trace = *trace;
             let nfc = inner.ctx.nfc();
-            let bytes = trace::with(trace, || nfc.resume_tag(self.uid, air).ndef_read());
-            if let Some(wake) = air.take_wake() {
-                return LoopPoll::RunnableAt(wake);
+            if !session.is_running() {
+                session.start(NdefOp::Read);
             }
-            air.clear();
+            let bytes = match trace::with(trace, || nfc.resume_ndef(self.uid, session)) {
+                Resume::Ready(outcome) => outcome,
+                Resume::WaitUntil(wake) => return LoopPoll::RunnableAt(wake),
+            };
             *attempts += 1;
             match bytes {
                 // Arrival is the moment the link is weakest: retry
@@ -385,7 +390,7 @@ impl<C: TagDataConverter> PollTask for PreRead<C> {
                 {
                     return LoopPoll::Runnable;
                 }
-                Ok(bytes) if !inner.stop.load(Ordering::Acquire) => {
+                Ok(Outcome::Bytes(bytes)) if !inner.stop.load(Ordering::Acquire) => {
                     trace::with(trace, || deliver(&inner, self.uid, self.tech, &bytes, trace));
                 }
                 _ => {}

@@ -25,20 +25,20 @@
 //! * listener delivery on the application's main thread, in completion
 //!   order.
 //!
-//! The loop itself is a poll-able state machine ([`Shared`] implements
-//! [`PollTask`]): one call to `poll` performs at most one unit of work
+//! The loop itself is a poll-able state machine (`Shared` implements
+//! `PollTask`): one call to `poll` performs at most one unit of work
 //! and reports how the loop wants to be resumed. How polls get a thread
 //! is the [`crate::sched`] module's business: the loop is pinned to one
 //! shard of the context's worker pool, whose single worker polls it.
 //!
 //! A poll never waits on the radio. An attempt whose exchange needs air
 //! time stops with that exchange on the air and the loop asks to be
-//! polled again when it lands (`LoopPoll::RunnableAt`); the next poll
-//! re-runs the attempt against its [`AirLog`], which replays what the
-//! radio already answered and finishes the exchange. Until the attempt
-//! ends, a poll does nothing else.
+//! polled again when it lands (`LoopPoll::RunnableAt`). The attempt's
+//! `Progress` holds its radio [`Session`]: the NDEF step machine, the
+//! exchange on the air, a response held back. The next poll resumes from
+//! there and re-runs nothing. Until the attempt ends, a poll does nothing
+//! else.
 
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -46,7 +46,7 @@ use std::time::Duration;
 
 use morena_android_sim::looper::Handler;
 use morena_nfc_sim::clock::{Clock, SimInstant};
-use morena_nfc_sim::controller::AirLog;
+use morena_nfc_sim::controller::{Resume, Session};
 use morena_nfc_sim::error::NfcOpError;
 use morena_obs::inspect::{ComponentSnapshot, HeadOp, LoopSnapshot, SnapshotProvider};
 use morena_obs::Mutex;
@@ -108,14 +108,10 @@ pub(crate) enum OpRequest {
     Push(Arc<[u8]>),
 }
 
-/// What a successful operation yields.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum OpResponse {
-    /// Bytes read from the tag (empty = blank tag).
-    Bytes(Vec<u8>),
-    /// The operation completed with nothing to return.
-    Done,
-}
+/// What a successful operation yields: the bytes a read found on the tag
+/// (empty = blank tag), or `Done`. A tag attempt passes its NDEF
+/// procedure's outcome through as is.
+pub(crate) use morena_nfc_sim::proto::Outcome as OpResponse;
 
 /// The physical half of the loop: connectivity probing and the
 /// non-blocking execution of one operation attempt.
@@ -126,20 +122,28 @@ pub(crate) trait OpExecutor: Send + Sync + 'static {
     /// Whether the remote party is reachable right now.
     fn connected(&self) -> bool;
 
-    /// Runs one attempt of `request` over the radio through `air`,
-    /// without waiting on air time. When an exchange is still on the
-    /// air, `air` says when to run again and the result is discarded;
-    /// the next call, with the same request and log, resumes the
-    /// attempt (see [`AirLog`]).
-    fn execute(&self, request: &OpRequest, air: &mut AirLog) -> Result<OpResponse, NfcOpError>;
+    /// Starts or resumes one attempt of `request` over the radio,
+    /// without waiting on air time. `progress` starts empty and carries
+    /// the attempt between calls: while an exchange is on the air this
+    /// returns [`Resume::WaitUntil`], and the next call, with the same
+    /// request and progress, goes on from there.
+    fn execute(&self, request: &OpRequest, progress: &mut Progress) -> Attempted;
 }
 
-thread_local! {
-    /// The polling thread's air log. An attempt that ends within its
-    /// first poll records into it and hands it back with its capacity,
-    /// so the instant path allocates nothing; an attempt that has to
-    /// wait on the air takes it along into its boxed [`Attempt`].
-    static SCRATCH_AIR: Cell<AirLog> = const { Cell::new(AirLog::new()) };
+/// How far [`OpExecutor::execute`] got with an attempt.
+pub(crate) type Attempted = Resume<Result<OpResponse, NfcOpError>>;
+
+/// What one attempt carries from the poll that stops it to the poll that
+/// resumes it.
+#[derive(Debug, Default)]
+pub(crate) struct Progress {
+    /// The radio side: the NDEF procedure running, the exchange on the
+    /// air, a response held back.
+    pub(crate) session: Session,
+    /// Set while a tag attempt whose own procedure failed runs a
+    /// recovery procedure: the failure it reports unless the recovery
+    /// shows the operation took effect.
+    pub(crate) failed: Option<NfcOpError>,
 }
 
 // The per-loop lifetime counters migrated to `morena-obs` (one stats
@@ -348,7 +352,7 @@ struct Attempt {
     /// the op's trace.
     trace: Option<TraceContext>,
     started: SimInstant,
-    air: AirLog,
+    progress: Progress,
     /// While the attempt waits on the air: when to run it again.
     wake: SimInstant,
 }
@@ -735,7 +739,7 @@ impl Shared {
                     deadline,
                     trace,
                     started: attempt_started,
-                    air: SCRATCH_AIR.take(),
+                    progress: Progress::default(),
                     wake: attempt_started,
                 };
                 match self.run(&mut attempt) {
@@ -757,25 +761,20 @@ impl Shared {
     /// op's context. `None` while the attempt waits on the air, with
     /// `attempt.wake` set to when to run it again.
     fn run(&self, attempt: &mut Attempt) -> Option<Result<OpResponse, NfcOpError>> {
-        let outcome = trace::with(attempt.trace, || {
-            self.executor.execute(&attempt.request, &mut attempt.air)
-        });
-        match attempt.air.take_wake() {
-            Some(wake) => {
+        let progress = &mut attempt.progress;
+        match trace::with(attempt.trace, || self.executor.execute(&attempt.request, progress)) {
+            Resume::Ready(outcome) => Some(outcome),
+            Resume::WaitUntil(wake) => {
                 attempt.wake = wake;
                 None
             }
-            None => Some(outcome),
         }
     }
 
     /// Records an ended attempt and acts on its outcome: completes the
     /// head (and its coalesced run), or keeps it queued for a retry.
     fn conclude(&self, attempt: Attempt, outcome: Result<OpResponse, NfcOpError>) -> LoopPoll {
-        let Attempt { op_id, rest, deadline, trace, started: attempt_started, mut air, .. } =
-            attempt;
-        air.clear();
-        SCRATCH_AIR.set(air);
+        let Attempt { op_id, rest, deadline, trace, started: attempt_started, .. } = attempt;
         let finished = self.clock.now();
         let attempt_nanos = finished.saturating_since(attempt_started).as_nanos() as u64;
         self.stats.record_attempt(attempt_nanos);
@@ -1127,9 +1126,9 @@ mod tests {
         fn connected(&self) -> bool {
             self.connected.load(Ordering::SeqCst)
         }
-        fn execute(&self, request: &OpRequest, _: &mut AirLog) -> Result<OpResponse, NfcOpError> {
+        fn execute(&self, request: &OpRequest, _: &mut Progress) -> Attempted {
             let _ = self.executed.send(request.clone());
-            self.results.lock().pop_front().unwrap_or(Ok(OpResponse::Done))
+            Resume::Ready(self.results.lock().pop_front().unwrap_or(Ok(OpResponse::Done)))
         }
     }
 
@@ -1315,9 +1314,9 @@ mod tests {
                 self.clock.advance(Duration::from_secs(2));
                 true
             }
-            fn execute(&self, _: &OpRequest, _: &mut AirLog) -> Result<OpResponse, NfcOpError> {
+            fn execute(&self, _: &OpRequest, _: &mut Progress) -> Attempted {
                 self.executes.fetch_add(1, Ordering::SeqCst);
-                Ok(OpResponse::Done)
+                Resume::Ready(Ok(OpResponse::Done))
             }
         }
 
@@ -1725,10 +1724,10 @@ mod tests {
         fn connected(&self) -> bool {
             true
         }
-        fn execute(&self, _: &OpRequest, _: &mut AirLog) -> Result<OpResponse, NfcOpError> {
+        fn execute(&self, _: &OpRequest, _: &mut Progress) -> Attempted {
             let _ = self.entered.send(());
             let _ = self.gate.lock().recv();
-            Ok(OpResponse::Done)
+            Resume::Ready(Ok(OpResponse::Done))
         }
     }
 

@@ -4,7 +4,7 @@
 //! The paper's API surface is listener pairs (§3.2: success/failure
 //! callbacks delivered on the main thread). Production Rust wants
 //! `Future`s. This module bridges the two *without* adding a runtime:
-//! an [`OpFuture`] is a thin handle onto the same queued operation a
+//! an `OpFuture` is a thin handle onto the same queued operation a
 //! listener pair would observe, resolved inline by the shard worker
 //! that polls the loop. The waker registered by the consumer is stored
 //! on the operation itself, so completion wakes exactly the interested
@@ -12,11 +12,11 @@
 //!
 //! # The completion core, and why it is pooled
 //!
-//! Every queued operation owns one [`OpCore`]: a claim flag (resolved
+//! Every queued operation owns one `OpCore`: a claim flag (resolved
 //! exactly once), a cancel-request flag, and a small mutex-guarded slot
 //! holding the result and the consumer's waker. Cores are the only
 //! per-operation heap state the submit→attempt→complete path needs, so
-//! they are recycled through a per-shard [`OpPool`] freelist: once every
+//! they are recycled through a per-shard `OpPool` freelist: once every
 //! handle (the queue's, the future's, any [`OpTicket`]s) has been
 //! dropped, the core returns to its pool and the next submit reuses it.
 //! Steady state, a cached read on a warm loop performs **zero heap
@@ -25,7 +25,7 @@
 //!
 //! # Cancellation safety
 //!
-//! Dropping an [`OpFuture`] before it resolves withdraws the operation:
+//! Dropping an `OpFuture` before it resolves withdraws the operation:
 //! the drop clears the registered waker under the slot lock (completion
 //! also wakes under that lock, so after `drop` returns no waker
 //! invocation can be in flight), requests cancellation, and wakes the

@@ -19,48 +19,18 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use morena_ndef::NdefMessage;
-use morena_nfc_sim::controller::{AirLog, NfcHandle};
-use morena_nfc_sim::error::NfcOpError;
 use morena_nfc_sim::world::{obs_peer_target, NfcEvent, PhoneId};
 use morena_obs::Mutex;
 use morena_obs::{trace, EventKind, MemFootprint};
 
+use crate::beam::PushExecutor;
 use crate::context::MorenaContext;
 use crate::convert::TagDataConverter;
-use crate::eventloop::{
-    EventLoop, ObsScope, OpExecutor, OpFailure, OpRequest, OpResponse, OpStats,
-};
+use crate::eventloop::{EventLoop, ObsScope, OpFailure, OpRequest, OpStats};
 use crate::future::UnitFuture;
 use crate::policy::Policy;
 use crate::router::RouteGuard;
 use crate::tracewire;
-
-struct PeerExecutor {
-    nfc: NfcHandle,
-    peer: PhoneId,
-}
-
-impl OpExecutor for PeerExecutor {
-    fn connected(&self) -> bool {
-        self.nfc.peer_in_range(self.peer)
-    }
-
-    fn execute(&self, request: &OpRequest, air: &mut AirLog) -> Result<OpResponse, NfcOpError> {
-        match request {
-            OpRequest::Push(bytes) => {
-                // Runs under the op's ambient trace scope (see the poll
-                // loop): a sampled context rides the payload in-band.
-                let stamped = tracewire::stamp_outgoing(bytes);
-                let payload = stamped.as_deref().unwrap_or(bytes);
-                self.nfc
-                    .resume_beam_to(air, self.peer, payload)
-                    .map(|()| OpResponse::Done)
-                    .map_err(NfcOpError::Link)
-            }
-            _ => Err(NfcOpError::Protocol("peer references only push")),
-        }
-    }
-}
 
 struct PeerRefInner<C: TagDataConverter> {
     ctx: MorenaContext,
@@ -146,7 +116,7 @@ impl<C: TagDataConverter> PeerReference<C> {
             Arc::clone(ctx.clock()),
             ctx.handler(),
             policy,
-            PeerExecutor { nfc: ctx.nfc().clone(), peer },
+            PushExecutor { nfc: ctx.nfc().clone(), to: Some(peer) },
             // Target keyed like the simulator's peer-presence events
             // ("phone-N") so the correlator can join the two streams.
             ObsScope::new(ctx, format!("peer-{peer}"), "peer", obs_peer_target(peer)),

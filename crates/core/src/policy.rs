@@ -7,14 +7,14 @@
 //!
 //! A policy can be set at three altitudes, most specific wins:
 //!
-//! * **per context** — [`MorenaContext::set_default_policy`]
+//! * **per context** — [`MorenaContext::set_default_policy`](crate::context::MorenaContext::set_default_policy)
 //!   (`crate::context::MorenaContext::set_default_policy`) changes the
 //!   default every subsequently created reference/discoverer/beamer
 //!   inherits;
-//! * **per discoverer** — [`TagDiscoverer::with_policy`]
+//! * **per discoverer** — [`TagDiscoverer::with_policy`](crate::discovery::TagDiscoverer::with_policy)
 //!   (`crate::discovery::TagDiscoverer::with_policy`) fixes the policy
 //!   for every reference that discoverer mints;
-//! * **per reference** — [`TagReference::with_policy`]
+//! * **per reference** — [`TagReference::with_policy`](crate::tagref::TagReference::with_policy)
 //!   (`crate::tagref::TagReference::with_policy`) pins one reference.
 //!
 //! # Backoff curves and the synchronized-retry storm

@@ -5,7 +5,7 @@
 //! its own thread of control"* — semantics this module preserves while
 //! decoupling them from OS threads (the RAFDA separation of distribution
 //! policy from application logic). Each loop is a poll-able state
-//! machine ([`PollTask`]); a fixed pool of workers (default
+//! machine (`PollTask`); a fixed pool of workers (default
 //! `min(cores, 8)`) drives many such machines:
 //!
 //! * every loop is pinned to exactly one **shard** (round-robin at

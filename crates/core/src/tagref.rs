@@ -28,8 +28,9 @@ use std::time::Duration;
 
 use morena_ndef::NdefMessage;
 use morena_nfc_sim::clock::SimInstant;
-use morena_nfc_sim::controller::{AirLog, NfcHandle, TagSession};
+use morena_nfc_sim::controller::{NfcHandle, Resume};
 use morena_nfc_sim::error::NfcOpError;
+use morena_nfc_sim::proto::{NdefOp, Outcome};
 use morena_nfc_sim::tag::{TagTech, TagUid};
 use morena_nfc_sim::world::NfcEvent;
 use morena_obs::MemFootprint;
@@ -38,7 +39,8 @@ use morena_obs::Mutex;
 use crate::context::MorenaContext;
 use crate::convert::TagDataConverter;
 use crate::eventloop::{
-    EventLoop, ObsScope, OpExecutor, OpFailure, OpRequest, OpResponse, OpStats, OpTicket,
+    Attempted, EventLoop, ObsScope, OpExecutor, OpFailure, OpRequest, OpResponse, OpStats,
+    OpTicket, Progress,
 };
 use crate::future::{block_on, OpFuture, UnitFuture};
 use crate::policy::Policy;
@@ -46,10 +48,10 @@ use crate::router::RouteGuard;
 
 /// The physical executor behind a tag reference: NDEF operations against
 /// one tag over the lossy link, hardened against the radio's nastier
-/// failure modes (lost responses, torn writes, corruption). Every step
-/// below — the re-probe and the verify-after-write included — decides
-/// only from what the tag answered, so the whole attempt replays
-/// faithfully from its [`AirLog`].
+/// failure modes (lost responses, torn writes, corruption). When the
+/// request's own procedure fails, the same attempt may run one recovery
+/// procedure (a re-read, a read-back, a detection) that decides the
+/// outcome from what the tag answers.
 struct TagExecutor {
     nfc: NfcHandle,
     uid: TagUid,
@@ -60,24 +62,32 @@ impl OpExecutor for TagExecutor {
         self.nfc.tag_in_range(self.uid)
     }
 
-    fn execute(&self, request: &OpRequest, air: &mut AirLog) -> Result<OpResponse, NfcOpError> {
-        let mut tag = self.nfc.resume_tag(self.uid, air);
-        match request {
-            OpRequest::Read => match tag.ndef_read() {
-                Ok(bytes) => Ok(OpResponse::Bytes(bytes)),
-                Err(NfcOpError::Protocol(_)) => {
+    fn execute(&self, request: &OpRequest, progress: &mut Progress) -> Attempted {
+        let Progress { session, failed } = progress;
+        if !session.is_running() {
+            session.start(match request {
+                OpRequest::Read => NdefOp::Read,
+                OpRequest::Write(bytes) => NdefOp::Write(Arc::clone(bytes)),
+                OpRequest::MakeReadOnly => NdefOp::MakeReadOnly,
+                OpRequest::Push(_) => {
+                    return Resume::Ready(Err(NfcOpError::Protocol("push is not a tag operation")))
+                }
+            });
+        }
+        loop {
+            let outcome = match self.nfc.resume_ndef(self.uid, session) {
+                Resume::Ready(outcome) => outcome,
+                Resume::WaitUntil(at) => return Resume::WaitUntil(at),
+            };
+            let Some(failure) = failed.take() else {
+                // The request's own procedure ended.
+                let recovery = match (request, &outcome) {
                     // A one-shot corrupted response garbles the TLV or
                     // APDU framing; re-probe once before giving up — a
                     // persistent torn state fails the same way again,
                     // and a transient link error on the re-probe keeps
                     // the op retriable.
-                    tag.ndef_read().map(OpResponse::Bytes)
-                }
-                Err(e) => Err(e),
-            },
-            OpRequest::Write(bytes) => match tag.ndef_write(bytes) {
-                Ok(()) => Ok(OpResponse::Done),
-                Err(e) => {
+                    (OpRequest::Read, Err(NfcOpError::Protocol(_))) => NdefOp::Read,
                     // Verify-after-write: when the final command took
                     // effect but its response was lost (or its ACK
                     // corrupted), the tag already holds exactly the
@@ -85,26 +95,29 @@ impl OpExecutor for TagExecutor {
                     // keeps retries idempotent — the logical write
                     // happened once, so report success instead of
                     // re-writing (or failing) a completed operation.
-                    match tag.ndef_read() {
-                        Ok(current) if *current == **bytes => Ok(OpResponse::Done),
-                        _ => Err(e),
-                    }
-                }
-            },
-            OpRequest::MakeReadOnly => match tag.ndef_make_read_only() {
-                Ok(()) => Ok(OpResponse::Done),
-                Err(e) => {
+                    (OpRequest::Write(_), Err(_)) => NdefOp::Read,
                     // The lock write is irreversible and not repeatable:
                     // once it lands, a retry is refused as ReadOnly. If
                     // the tag reports itself protected, the operation
                     // already succeeded.
-                    match tag.ndef_detect() {
-                        Ok(info) if !info.writable => Ok(OpResponse::Done),
-                        _ => Err(e),
-                    }
+                    (OpRequest::MakeReadOnly, Err(_)) => NdefOp::Detect,
+                    _ => return Resume::Ready(outcome),
+                };
+                *failed = outcome.err();
+                session.start(recovery);
+                continue;
+            };
+            // The recovery procedure ended: it decides the attempt.
+            return Resume::Ready(match (request, outcome) {
+                (OpRequest::Read, outcome) => outcome,
+                (OpRequest::Write(bytes), Ok(Outcome::Bytes(current))) if *current == **bytes => {
+                    Ok(OpResponse::Done)
                 }
-            },
-            OpRequest::Push(_) => Err(NfcOpError::Protocol("push is not a tag operation")),
+                (OpRequest::MakeReadOnly, Ok(Outcome::Info(info))) if !info.writable => {
+                    Ok(OpResponse::Done)
+                }
+                _ => Err(failure),
+            });
         }
     }
 }

@@ -95,8 +95,8 @@ impl NdefMessage {
 
     /// Appends the binary wire form to `out` without allocating a fresh
     /// buffer (beyond growing `out` once to fit, when needed). Hot paths
-    /// reuse one scratch buffer across encodes; [`to_bytes`]
-    /// (NdefMessage::to_bytes) is this over a fresh `Vec`.
+    /// reuse one scratch buffer across encodes;
+    /// [`to_bytes`](NdefMessage::to_bytes) is this over a fresh `Vec`.
     pub fn to_bytes_into(&self, out: &mut Vec<u8>) {
         out.reserve(self.encoded_len());
         let last = self.records.len() - 1;

@@ -3,22 +3,26 @@
 //! uses to talk to its own NFC chip.
 //!
 //! [`NfcHandle`] bundles a [`World`] with a [`PhoneId`] and exposes
-//! events, raw transceive, complete NDEF operations (built on
-//! [`crate::proto`]), and beam push.
+//! events, raw transceive, the NDEF procedures of [`crate::proto`], and
+//! beam push.
 //!
-//! Every operation comes in two forms. The blocking one holds the calling
-//! thread for the air time, as the raw Android API does. The resumable one
-//! ([`NfcHandle::resume_tag`], [`NfcHandle::resume_beam`],
-//! [`NfcHandle::resume_beam_to`]) never waits: it records its progress in
-//! an [`AirLog`] and returns early while an exchange is on the air, and a
-//! later call with the same log picks up where it stopped.
+//! Radio operations have one driver, which never waits:
+//! [`NfcHandle::resume_ndef`] and [`NfcHandle::resume_beam`] run as far
+//! as the radio allows and return [`Resume::WaitUntil`] while an exchange
+//! is on the air or a stalled tag holds its response back. A [`Session`]
+//! keeps everything the operation needs to go on: the NDEF step machine,
+//! the exchange on the air, the held-back response. Calling again with
+//! the same session picks up where it stopped; nothing is re-run. The
+//! blocking forms ([`NfcHandle::ndef_read`], [`NfcHandle::beam`], …) are
+//! that driver with the calling thread sleeping on the world clock
+//! through each wait, as the raw Android API blocks.
 
-use std::ops::Range;
 use std::sync::mpsc::Receiver;
+use std::sync::Arc;
 
 use crate::clock::SimInstant;
 use crate::error::{LinkError, NfcOpError};
-use crate::proto::{self, NdefTagInfo, Transceive};
+use crate::proto::{self, NdefOp, NdefTagInfo, Outcome, Procedure, Transceive};
 use crate::tag::{TagTech, TagUid};
 use crate::world::{InFlight, NfcEvent, PhoneId, World};
 
@@ -97,26 +101,19 @@ impl NfcHandle {
         self.world.any_peer_in_range(self.phone)
     }
 
-    /// One raw command/response exchange with a tag.
+    /// One raw command/response exchange with a tag, blocking for its
+    /// air time and for any stall or spike dwell. The exchange may fail
+    /// probabilistically; if the tag leaves the field while it is on the
+    /// air, the command is lost ([`LinkError::FieldLost`]) even though
+    /// earlier commands may already have changed the tag — this is how
+    /// torn writes arise.
     ///
     /// # Errors
     ///
     /// [`LinkError`] on radio-level failure.
     pub fn transceive(&self, uid: TagUid, command: &[u8]) -> Result<Vec<u8>, LinkError> {
-        self.world.transceive(self.phone, uid, command)
-    }
-
-    /// A [`Transceive`] implementation bound to one tag, for driving the
-    /// [`crate::proto`] procedures manually.
-    pub fn link_to(&self, uid: TagUid) -> TagLink {
-        TagLink { handle: self.clone(), uid }
-    }
-
-    /// A session with `uid` that never waits on the air: it replays the
-    /// responses `log` recorded on earlier calls, then carries on over
-    /// the radio until an exchange needs air time. See [`AirLog`].
-    pub fn resume_tag<'a>(&'a self, uid: TagUid, log: &'a mut AirLog) -> Replay<'a> {
-        Replay { handle: self, uid, log, cursor: 0 }
+        let mut air = Air::default();
+        self.block(|| self.exchange(uid, command, &mut air))
     }
 
     /// Runs NDEF detection against a tag in the field.
@@ -126,7 +123,7 @@ impl NfcHandle {
     /// See [`proto::detect`]; additionally [`LinkError::OutOfRange`] when
     /// the tag is not in the field at all.
     pub fn ndef_detect(&self, uid: TagUid) -> Result<NdefTagInfo, NfcOpError> {
-        self.link_to(uid).ndef_detect()
+        proto::detect(&mut Blocking(self, uid), self.tech(uid)?)
     }
 
     /// Reads the complete NDEF message bytes from a tag in the field.
@@ -137,7 +134,7 @@ impl NfcHandle {
     ///
     /// See [`proto::read_ndef`].
     pub fn ndef_read(&self, uid: TagUid) -> Result<Vec<u8>, NfcOpError> {
-        self.link_to(uid).ndef_read()
+        proto::read_ndef(&mut Blocking(self, uid), self.tech(uid)?)
     }
 
     /// Writes NDEF message bytes to a tag in the field (blocking,
@@ -147,7 +144,7 @@ impl NfcHandle {
     ///
     /// See [`proto::write_ndef`].
     pub fn ndef_write(&self, uid: TagUid, message: &[u8]) -> Result<(), NfcOpError> {
-        self.link_to(uid).ndef_write(message)
+        proto::write_ndef(&mut Blocking(self, uid), self.tech(uid)?, message)
     }
 
     /// Permanently write-protects a tag in the field (blocking), the
@@ -157,319 +154,252 @@ impl NfcHandle {
     ///
     /// See [`proto::make_read_only`].
     pub fn ndef_make_read_only(&self, uid: TagUid) -> Result<(), NfcOpError> {
-        self.link_to(uid).ndef_make_read_only()
+        proto::make_read_only(&mut Blocking(self, uid), self.tech(uid)?)
     }
 
-    /// Pushes raw NDEF bytes to whatever peer phones are in range.
+    /// Runs `session`'s NDEF procedure against `uid` as far as the radio
+    /// allows without waiting. A procedure that has not started first
+    /// checks that the tag is in the field; no exchange is made when it
+    /// is not. Once it is ready, the session holds no procedure until
+    /// [`Session::start`] sets the next one.
+    ///
+    /// An exchange with no air time and no dwell lands inline, so on an
+    /// instant link the procedure ends in one call.
     ///
     /// # Errors
     ///
-    /// See [`World::beam`].
-    pub fn beam(&self, bytes: &[u8]) -> Result<usize, LinkError> {
-        self.world.beam(self.phone, bytes)
-    }
-
-    /// Pushes raw NDEF bytes to one specific peer (connection-oriented).
+    /// The procedure's own (see [`proto`]); [`LinkError::OutOfRange`]
+    /// when the tag is not in the field at the start.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// See [`World::beam_to`].
-    pub fn beam_to(&self, to: PhoneId, bytes: &[u8]) -> Result<(), LinkError> {
-        self.world.beam_to(self.phone, to, bytes)
-    }
-
-    /// [`NfcHandle::beam`] without waiting: begins the push, or finishes
-    /// the one `log` has on the air. While the push is on the air it
-    /// returns an error and `log` holds the instant to call again.
-    ///
-    /// # Errors
-    ///
-    /// See [`World::beam`].
-    pub fn resume_beam(&self, log: &mut AirLog, bytes: &[u8]) -> Result<usize, LinkError> {
-        let flight = log.landed(&self.world, || self.world.begin_beam(self.phone, bytes))?;
-        self.world.finish_beam(self.phone, bytes, flight)
-    }
-
-    /// [`NfcHandle::beam_to`] without waiting, like
-    /// [`NfcHandle::resume_beam`].
-    ///
-    /// # Errors
-    ///
-    /// See [`World::beam_to`].
-    pub fn resume_beam_to(
+    /// When `session` holds no procedure.
+    pub fn resume_ndef(
         &self,
-        log: &mut AirLog,
-        to: PhoneId,
-        bytes: &[u8],
-    ) -> Result<(), LinkError> {
-        let flight = log.landed(&self.world, || self.world.begin_beam_to(self.phone, to, bytes))?;
-        self.world.finish_beam_to(self.phone, to, bytes, flight)
-    }
-}
-
-/// A link to one tag that can also say whether the tag is in the field.
-/// The four NDEF operations are written once against it, for the
-/// blocking [`TagLink`] and the resumable [`Replay`] alike.
-pub trait TagSession: Transceive + Sized {
-    /// The tag's technology if it is in this phone's field.
-    ///
-    /// # Errors
-    ///
-    /// [`LinkError::OutOfRange`] when it is not; no exchange is made.
-    fn tech(&mut self) -> Result<TagTech, NfcOpError>;
-
-    /// See [`NfcHandle::ndef_detect`].
-    ///
-    /// # Errors
-    ///
-    /// See [`proto::detect`].
-    fn ndef_detect(&mut self) -> Result<NdefTagInfo, NfcOpError> {
-        let tech = self.tech()?;
-        proto::detect(self, tech)
-    }
-
-    /// See [`NfcHandle::ndef_read`].
-    ///
-    /// # Errors
-    ///
-    /// See [`proto::read_ndef`].
-    fn ndef_read(&mut self) -> Result<Vec<u8>, NfcOpError> {
-        let tech = self.tech()?;
-        proto::read_ndef(self, tech)
-    }
-
-    /// See [`NfcHandle::ndef_write`].
-    ///
-    /// # Errors
-    ///
-    /// See [`proto::write_ndef`].
-    fn ndef_write(&mut self, message: &[u8]) -> Result<(), NfcOpError> {
-        let tech = self.tech()?;
-        proto::write_ndef(self, tech, message)
-    }
-
-    /// See [`NfcHandle::ndef_make_read_only`].
-    ///
-    /// # Errors
-    ///
-    /// See [`proto::make_read_only`].
-    fn ndef_make_read_only(&mut self) -> Result<(), NfcOpError> {
-        let tech = self.tech()?;
-        proto::make_read_only(self, tech)
-    }
-}
-
-/// A [`Transceive`] bound to `(phone, tag)` over the world's lossy link.
-#[derive(Debug)]
-pub struct TagLink {
-    handle: NfcHandle,
-    uid: TagUid,
-}
-
-impl Transceive for TagLink {
-    fn transceive(&mut self, command: &[u8]) -> Result<Vec<u8>, LinkError> {
-        self.handle.transceive(self.uid, command)
-    }
-}
-
-impl TagSession for TagLink {
-    fn tech(&mut self) -> Result<TagTech, NfcOpError> {
-        let handle = &self.handle;
-        handle
-            .world
-            .tag_tech_in_range(handle.phone, self.uid)
-            .ok_or(NfcOpError::Link(LinkError::OutOfRange))
-    }
-}
-
-/// What one probe or exchange of a resumable attempt returned.
-#[derive(Debug)]
-enum Recorded {
-    Probe(Option<TagTech>),
-    /// A response: its bytes in [`AirLog`]'s byte buffer.
-    Response(Range<usize>),
-    Failed(LinkError),
-}
-
-/// The radio record of one resumable attempt: what its probes and
-/// exchanges returned so far, the exchange it has on the air, and when it
-/// can next make progress.
-///
-/// An attempt is a deterministic function of those responses: the NDEF
-/// procedures in [`crate::proto`], and any retry logic around them, decide
-/// each command from the responses before it. So an attempt that had to
-/// stop for air time resumes by running again from the start with the
-/// same log. Its recorded probes and responses are replayed without
-/// touching the radio, and the command that comes next is the one on the
-/// air, which is now finished. Once an attempt stops, every later command
-/// of that run fails at once, and the run's result means nothing: the
-/// caller checks [`AirLog::take_wake`] first.
-///
-/// An exchange with no air time and no dwell finishes inline, so an
-/// attempt on an instant link runs to its end in one call. The log keeps
-/// its capacity across [`AirLog::clear`], so a reused log records without
-/// allocating.
-#[derive(Debug, Default)]
-pub struct AirLog {
-    /// Response bytes of the recorded exchanges, back to back.
-    bytes: Vec<u8>,
-    entries: Vec<Recorded>,
-    /// The exchange on the air: begun, not yet finished.
-    in_flight: Option<InFlight>,
-    /// Set when the current run stopped: the instant to run again at.
-    wake: Option<SimInstant>,
-}
-
-impl AirLog {
-    /// An empty log.
-    pub const fn new() -> AirLog {
-        AirLog { bytes: Vec::new(), entries: Vec::new(), in_flight: None, wake: None }
-    }
-
-    /// Forgets everything, keeping the buffers' capacity. An exchange
-    /// still on the air is dropped and never takes effect.
-    pub fn clear(&mut self) {
-        self.bytes.clear();
-        self.entries.clear();
-        self.in_flight = None;
-        self.wake = None;
-    }
-
-    /// When the last run stopped to wait on the air, the instant to run
-    /// the attempt again at (clearing it); `None` when the run finished
-    /// and its result stands.
-    pub fn take_wake(&mut self) -> Option<SimInstant> {
-        self.wake.take()
-    }
-
-    fn stopped(&self) -> bool {
-        self.wake.is_some()
-    }
-
-    fn stop(&mut self, until: SimInstant) {
-        self.wake = Some(until);
-    }
-
-    fn record(&mut self, response: &Result<Vec<u8>, LinkError>) {
-        self.entries.push(match response {
-            Ok(bytes) => {
-                let start = self.bytes.len();
-                self.bytes.extend_from_slice(bytes);
-                Recorded::Response(start..self.bytes.len())
+        uid: TagUid,
+        session: &mut Session,
+    ) -> Resume<Result<Outcome, NfcOpError>> {
+        if let Some(op) = session.op.take() {
+            match self.tech(uid) {
+                Ok(tech) => session.procedure = Some(Procedure::new(op, tech)),
+                Err(e) => return Resume::Ready(Err(e)),
             }
-            Err(e) => Recorded::Failed(e.clone()),
-        });
+        }
+        let procedure = session.procedure.as_mut().expect("a session resumes a procedure");
+        loop {
+            let response = match self.exchange(uid, procedure.command(), &mut session.air) {
+                Resume::Ready(response) => response,
+                Resume::WaitUntil(at) => return Resume::WaitUntil(at),
+            };
+            if let Some(result) = procedure.feed(response.as_deref()) {
+                session.procedure = None;
+                return Resume::Ready(result);
+            }
+        }
     }
 
+    /// Pushes raw NDEF bytes to whatever peer phones are in range
+    /// (blocking for the air time). NFC push is undirected. Returns how
+    /// many peers received it.
+    ///
+    /// # Errors
+    ///
+    /// * [`LinkError::NoPeerInRange`] — nobody to push to.
+    /// * [`LinkError::FieldLost`] — the peers moved away mid-transfer.
+    /// * [`LinkError::TransmissionError`] — noise corrupted the push.
+    pub fn beam(&self, bytes: &[u8]) -> Result<usize, LinkError> {
+        let mut session = Session::default();
+        self.block(|| self.resume_beam(&mut session, None, bytes))
+    }
+
+    /// Pushes raw NDEF bytes to one specific peer (blocking), modelling
+    /// the connection-oriented (LLCP-style) transport real NFC P2P stacks
+    /// run on top of the broadcast radio.
+    ///
+    /// # Errors
+    ///
+    /// * [`LinkError::UnknownDevice`] — either phone does not exist.
+    /// * [`LinkError::OutOfRange`] — `to` is not in beam range.
+    /// * [`LinkError::FieldLost`] — `to` moved away mid-transfer.
+    /// * [`LinkError::TransmissionError`] — noise corrupted the push.
+    pub fn beam_to(&self, to: PhoneId, bytes: &[u8]) -> Result<(), LinkError> {
+        let mut session = Session::default();
+        self.block(|| self.resume_beam(&mut session, Some(to), bytes)).map(drop)
+    }
+
+    /// [`NfcHandle::beam_to`] `to` a peer, or [`NfcHandle::beam`] with no
+    /// `to`, without waiting: begins the push, or finishes the one
+    /// `session` has on the air once its air time is over. Returns how
+    /// many peers received it.
+    ///
+    /// # Errors
+    ///
+    /// See [`NfcHandle::beam`] and [`NfcHandle::beam_to`].
+    pub fn resume_beam(
+        &self,
+        session: &mut Session,
+        to: Option<PhoneId>,
+        bytes: &[u8],
+    ) -> Resume<Result<usize, LinkError>> {
+        let world = &self.world;
+        session
+            .air
+            .land(world, || world.begin_beam(self.phone, to, bytes))
+            .map(|flight| flight.and_then(|flight| world.finish_beam(self.phone, bytes, flight)))
+    }
+
+    /// One exchange of `command` with `uid` without waiting: begins it,
+    /// finishes the one `air` has on the air once its air time is over,
+    /// and serves a response a stalled or spiking tag held back once the
+    /// dwell is over.
+    fn exchange(
+        &self,
+        uid: TagUid,
+        command: &[u8],
+        air: &mut Air,
+    ) -> Resume<Result<Vec<u8>, LinkError>> {
+        let clock = self.world.clock();
+        if let Some((_, at)) = air.held {
+            if clock.now() < at {
+                return Resume::WaitUntil(at);
+            }
+            return Resume::Ready(air.held.take().expect("checked").0);
+        }
+        let world = &self.world;
+        let flight = match air.land(world, || world.begin_transceive(self.phone, uid, command)) {
+            Resume::Ready(Ok(flight)) => flight,
+            Resume::Ready(Err(e)) => return Resume::Ready(Err(e)),
+            Resume::WaitUntil(at) => return Resume::WaitUntil(at),
+        };
+        let (response, dwell) = world.finish_transceive(self.phone, uid, command, flight);
+        if dwell.is_zero() {
+            return Resume::Ready(response);
+        }
+        let at = clock.now() + dwell;
+        air.held = Some((response, at));
+        Resume::WaitUntil(at)
+    }
+
+    /// The blocking driver: runs `step` until it is ready, sleeping on
+    /// the world clock through each wait.
+    fn block<T>(&self, mut step: impl FnMut() -> Resume<T>) -> T {
+        let clock = self.world.clock();
+        loop {
+            match step() {
+                Resume::Ready(out) => return out,
+                Resume::WaitUntil(at) => clock.sleep(at.saturating_since(clock.now())),
+            }
+        }
+    }
+
+    /// The tag's technology if it is in the field.
+    fn tech(&self, uid: TagUid) -> Result<TagTech, NfcOpError> {
+        self.world.tag_tech_in_range(self.phone, uid).ok_or(NfcOpError::Link(LinkError::OutOfRange))
+    }
+}
+
+/// [`NfcHandle::transceive`] bound to one tag, for the [`proto`]
+/// procedures.
+struct Blocking<'a>(&'a NfcHandle, TagUid);
+
+impl Transceive for Blocking<'_> {
+    fn transceive(&mut self, command: &[u8]) -> Result<Vec<u8>, LinkError> {
+        self.0.transceive(self.1, command)
+    }
+}
+
+/// How far a resumable radio operation got.
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[must_use = "a waiting operation must be resumed"]
+pub enum Resume<T> {
+    /// It ended with this result.
+    Ready(T),
+    /// It waits on the air: resume it with the same [`Session`] at or
+    /// after this instant.
+    WaitUntil(SimInstant),
+}
+
+impl<T> Resume<T> {
+    /// Maps a ready result, keeping a wait as it is.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Resume<U> {
+        match self {
+            Resume::Ready(out) => Resume::Ready(f(out)),
+            Resume::WaitUntil(at) => Resume::WaitUntil(at),
+        }
+    }
+}
+
+/// The state of one resumable radio operation between calls: the NDEF
+/// procedure it runs (for tag operations), the exchange it has on the
+/// air, and a response a stalled or spiking tag holds back.
+///
+/// A fresh session holds nothing and allocates nothing. Dropping a
+/// session drops its exchange on the air, which then never reaches the
+/// tag or peer.
+#[derive(Debug, Default)]
+pub struct Session {
+    /// The procedure to start once the tag is found in the field.
+    op: Option<NdefOp<Arc<[u8]>>>,
+    procedure: Option<Procedure<Arc<[u8]>>>,
+    air: Air,
+}
+
+impl Session {
+    /// Sets the NDEF procedure the next [`NfcHandle::resume_ndef`] runs,
+    /// dropping whatever the session had on the air.
+    pub fn start(&mut self, op: NdefOp<Arc<[u8]>>) {
+        *self = Session { op: Some(op), ..Session::default() };
+    }
+
+    /// Whether the session holds a procedure that has not ended.
+    pub fn is_running(&self) -> bool {
+        self.op.is_some() || self.procedure.is_some()
+    }
+}
+
+/// A session's radio side.
+#[derive(Debug, Default)]
+struct Air {
+    /// The exchange on the air: begun, not yet finished.
+    flight: Option<InFlight>,
+    /// A landed response held back for a dwell, and when it is served.
+    held: Option<(Result<Vec<u8>, LinkError>, SimInstant)>,
+}
+
+impl Air {
     /// The exchange to finish now: the one on the air, or a new one from
-    /// `begin`. While its air time runs, keeps it and stops the run.
-    fn landed(
+    /// `begin`. While its air time runs, keeps it and waits.
+    fn land(
         &mut self,
         world: &World,
         begin: impl FnOnce() -> Result<InFlight, LinkError>,
-    ) -> Result<InFlight, LinkError> {
-        if self.stopped() {
-            return Err(LinkError::TransmissionError);
-        }
-        let flight = match self.in_flight.take() {
+    ) -> Resume<Result<InFlight, LinkError>> {
+        let flight = match self.flight.take() {
             Some(flight) => flight,
-            None => begin()?,
+            None => match begin() {
+                Ok(flight) => flight,
+                Err(e) => return Resume::Ready(Err(e)),
+            },
         };
         if world.clock().now() < flight.done_at() {
-            self.stop(flight.done_at());
-            self.in_flight = Some(flight);
-            return Err(LinkError::TransmissionError);
+            let at = flight.done_at();
+            self.flight = Some(flight);
+            return Resume::WaitUntil(at);
         }
-        Ok(flight)
-    }
-}
-
-/// A [`TagSession`] over an [`AirLog`]: replays the recorded probes and
-/// responses, then runs new exchanges as far as it can without waiting.
-/// Made by [`NfcHandle::resume_tag`].
-#[derive(Debug)]
-pub struct Replay<'a> {
-    handle: &'a NfcHandle,
-    uid: TagUid,
-    log: &'a mut AirLog,
-    /// How many recorded entries this run has consumed.
-    cursor: usize,
-}
-
-impl Replay<'_> {
-    /// The next recorded entry, if this run has not caught up yet.
-    fn replayed(&mut self) -> Option<&Recorded> {
-        let entry = self.log.entries.get(self.cursor)?;
-        self.cursor += 1;
-        Some(entry)
-    }
-}
-
-impl Transceive for Replay<'_> {
-    fn transceive(&mut self, command: &[u8]) -> Result<Vec<u8>, LinkError> {
-        if !self.log.stopped() {
-            match self.replayed() {
-                Some(Recorded::Response(range)) => {
-                    let range = range.clone();
-                    return Ok(self.log.bytes[range].to_vec());
-                }
-                Some(Recorded::Failed(e)) => return Err(e.clone()),
-                Some(Recorded::Probe(_)) => panic!("replay diverged from its recording"),
-                None => {}
-            }
-        }
-        let handle = self.handle;
-        let (world, phone, uid) = (&handle.world, handle.phone, self.uid);
-        let flight = match self.log.landed(world, || world.begin_transceive(phone, uid, command)) {
-            Ok(flight) => flight,
-            Err(e) => {
-                if !self.log.stopped() {
-                    // Rejected before the air.
-                    self.log.record(&Err(e.clone()));
-                    self.cursor += 1;
-                }
-                return Err(e);
-            }
-        };
-        let (response, dwell) = world.finish_transceive(phone, uid, command, flight);
-        self.log.record(&response);
-        self.cursor += 1;
-        if !dwell.is_zero() {
-            // A stalled or spiking tag holds its response back: serve it
-            // from the log on the run after the dwell.
-            self.log.stop(world.clock().now() + dwell);
-            return Err(LinkError::TransmissionError);
-        }
-        response
-    }
-}
-
-impl TagSession for Replay<'_> {
-    fn tech(&mut self) -> Result<TagTech, NfcOpError> {
-        let out_of_range = NfcOpError::Link(LinkError::OutOfRange);
-        if self.log.stopped() {
-            return Err(out_of_range);
-        }
-        let tech = match self.replayed() {
-            Some(Recorded::Probe(tech)) => *tech,
-            Some(_) => panic!("replay diverged from its recording"),
-            None => {
-                let tech = self.handle.world.tag_tech_in_range(self.handle.phone, self.uid);
-                self.log.entries.push(Recorded::Probe(tech));
-                self.cursor += 1;
-                tech
-            }
-        };
-        tech.ok_or(out_of_range)
+        Resume::Ready(Ok(flight))
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Mutex;
+
     use super::*;
     use crate::clock::{Clock, VirtualClock};
+    use crate::error::TagError;
+    use crate::faults::{FaultKind, FaultPlan, FaultRates};
     use crate::link::LinkModel;
-    use crate::tag::{Type2Tag, Type4Tag};
+    use crate::tag::{TagEmulator, Type2Tag, Type4Tag};
 
     fn setup() -> (World, NfcHandle, TagUid) {
         let world = World::with_link(VirtualClock::shared(), LinkModel::instant(), 3);
@@ -564,34 +494,180 @@ mod tests {
         assert!(nfc.tag_in_range(uid));
     }
 
-    #[test]
-    fn a_replayed_read_sends_each_command_once() {
-        let clock = std::sync::Arc::new(VirtualClock::with_auto_advance(false));
-        let world = World::with_link(clock.clone(), LinkModel::reliable(), 3);
-        let phone = world.add_phone("alice");
-        let uid = world.add_tag(Box::new(Type2Tag::ntag215(TagUid::from_seed(1))));
-        world.tap_tag(uid, phone);
-        let message = vec![0xAB; 40];
-        world
-            .with_tag(uid, |tag| {
-                proto::write_ndef(&mut proto::DirectLink::new(tag), TagTech::Type2, &message)
-            })
-            .expect("tag in the world")
-            .expect("fits an NTAG215");
-        let nfc = NfcHandle::new(world.clone(), phone);
-        let mut log = AirLog::new();
-        let mut runs = 0;
-        let read = loop {
-            runs += 1;
-            let read = nfc.resume_tag(uid, &mut log).ndef_read();
-            match log.take_wake() {
-                Some(wake) => clock.advance(wake.saturating_since(clock.now())),
-                None => break read,
-            }
+    /// A tag that logs every command reaching it.
+    #[derive(Debug)]
+    struct Logged {
+        tag: Box<dyn TagEmulator>,
+        log: Arc<Mutex<Vec<Vec<u8>>>>,
+    }
+
+    impl TagEmulator for Logged {
+        fn uid(&self) -> TagUid {
+            self.tag.uid()
+        }
+        fn tech(&self) -> TagTech {
+            self.tag.tech()
+        }
+        fn transceive(&mut self, command: &[u8]) -> Result<Vec<u8>, TagError> {
+            self.log.lock().unwrap().push(command.to_vec());
+            self.tag.transceive(command)
+        }
+        fn on_field_lost(&mut self) {
+            self.tag.on_field_lost();
+        }
+        fn ndef_capacity(&self) -> usize {
+            self.tag.ndef_capacity()
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self.tag.as_any_mut()
+        }
+    }
+
+    /// An NTAG215 or a 1 KiB Type 4 tag holding `stored` (left blank
+    /// when it does not fit).
+    fn stocked(type4: bool, stored: &[u8]) -> Box<dyn TagEmulator> {
+        let mut tag: Box<dyn TagEmulator> = if type4 {
+            Box::new(Type4Tag::new(TagUid::from_seed(2), 1024))
+        } else {
+            Box::new(Type2Tag::ntag215(TagUid::from_seed(1)))
         };
-        assert_eq!(read.unwrap(), message);
-        // Every run but the last put one new command on the air.
-        assert_eq!(world.radio_stats().exchanges, runs - 1);
+        let tech = tag.tech();
+        let _ = proto::write_ndef(&mut proto::DirectLink::new(&mut *tag), tech, stored);
+        tag
+    }
+
+    fn ndef_op(op: usize, message: &[u8]) -> NdefOp<Arc<[u8]>> {
+        match op {
+            0 => NdefOp::Detect,
+            1 => NdefOp::Read,
+            2 => NdefOp::Write(message.into()),
+            _ => NdefOp::MakeReadOnly,
+        }
+    }
+
+    /// Runs `session`'s procedure to its end on a manual clock,
+    /// stepping the clock to each wake.
+    fn resume_to_end(
+        nfc: &NfcHandle,
+        clock: &VirtualClock,
+        uid: TagUid,
+        session: &mut Session,
+    ) -> Result<Outcome, NfcOpError> {
+        loop {
+            match nfc.resume_ndef(uid, session) {
+                Resume::Ready(result) => return result,
+                Resume::WaitUntil(at) => clock.advance(at.saturating_since(clock.now())),
+            }
+        }
+    }
+
+    #[test]
+    fn resumed_procedures_send_what_proto_sends() {
+        struct Recording<'a>(proto::DirectLink<'a>, Vec<Vec<u8>>);
+        impl Transceive for Recording<'_> {
+            fn transceive(&mut self, command: &[u8]) -> Result<Vec<u8>, LinkError> {
+                self.1.push(command.to_vec());
+                self.0.transceive(command)
+            }
+        }
+
+        morena_obs::check::check(
+            "resumed_procedures_send_what_proto_sends",
+            64,
+            |rng| {
+                let type4 = rng.random_bool(0.5);
+                let op = morena_obs::check::size(rng, 0..4);
+                let stored = morena_obs::check::bytes(rng, 0..701);
+                (type4, op, stored, morena_obs::check::bytes(rng, 0..701))
+            },
+            |(type4, op, stored, message)| {
+                // The synchronous driver over a direct link.
+                let mut tag = stocked(type4, &stored);
+                let tech = tag.tech();
+                let mut link = Recording(proto::DirectLink::new(&mut *tag), Vec::new());
+                let expected = match op {
+                    0 => proto::detect(&mut link, tech).map(Outcome::Info),
+                    1 => proto::read_ndef(&mut link, tech).map(Outcome::Bytes),
+                    2 => proto::write_ndef(&mut link, tech, &message).map(|()| Outcome::Done),
+                    _ => proto::make_read_only(&mut link, tech).map(|()| Outcome::Done),
+                };
+                let sent = link.1;
+
+                // The resumable driver over a link with air time.
+                let clock = Arc::new(VirtualClock::with_auto_advance(false));
+                let world = World::with_link(clock.clone(), LinkModel::reliable(), 3);
+                let phone = world.add_phone("alice");
+                let log = Arc::new(Mutex::new(Vec::new()));
+                let uid = world.add_tag(Box::new(Logged {
+                    tag: stocked(type4, &stored),
+                    log: Arc::clone(&log),
+                }));
+                world.tap_tag(uid, phone);
+                let nfc = NfcHandle::new(world.clone(), phone);
+                let mut session = Session::default();
+                session.start(ndef_op(op, &message));
+                let result = resume_to_end(&nfc, &clock, uid, &mut session);
+
+                assert_eq!(result, expected);
+                assert!(!session.is_running());
+                assert_eq!(*log.lock().unwrap(), sent);
+                // Each command reached the tag once.
+                assert_eq!(world.radio_stats().exchanges, sent.len() as u64);
+            },
+        );
+    }
+
+    #[test]
+    fn blocking_and_resumed_drivers_draw_the_same_fault_schedule() {
+        let rates = FaultRates {
+            rf_drop: 0.04,
+            torn_write: 0.04,
+            corruption: 0.04,
+            stuck_tag: 0.04,
+            latency_spike: 0.04,
+        };
+        let twin = |clock: Arc<VirtualClock>| {
+            let world = World::with_link(clock, LinkModel::realistic(), 11);
+            world.install_fault_plan(FaultPlan::new(5, rates));
+            let phone = world.add_phone("alice");
+            let uid = world.add_tag(Box::new(Type2Tag::ntag215(TagUid::from_seed(1))));
+            world.tap_tag(uid, phone);
+            (NfcHandle::new(world, phone), uid)
+        };
+        let (blocking, uid) = twin(Arc::new(VirtualClock::new()));
+        let clock = Arc::new(VirtualClock::with_auto_advance(false));
+        let (resumed, _) = twin(Arc::clone(&clock));
+
+        let mut results = (Vec::new(), Vec::new());
+        for i in 0..60usize {
+            let message = vec![i as u8; 20 + 7 * i];
+            results.0.push(blocking.ndef_write(uid, &message).map(|()| Outcome::Done));
+            results.0.push(blocking.ndef_read(uid).map(Outcome::Bytes));
+            let mut session = Session::default();
+            session.start(NdefOp::Write(message.into()));
+            results.1.push(resume_to_end(&resumed, &clock, uid, &mut session));
+            session.start(NdefOp::Read);
+            results.1.push(resume_to_end(&resumed, &clock, uid, &mut session));
+        }
+
+        let (a, b) = (blocking.world(), resumed.world());
+        let faults = a.fault_stats();
+        for kind in FaultKind::ALL {
+            assert!(faults.count(kind) > 0, "{kind:?} never fired");
+        }
+        assert_eq!(faults, b.fault_stats());
+        assert_eq!(a.radio_stats(), b.radio_stats());
+        assert_eq!(results.0, results.1);
+        let memory = |world: &World| {
+            world.with_tag(uid, |tag| {
+                (0..=129u8)
+                    .step_by(4)
+                    .flat_map(|page| tag.transceive(&[0x30, page]).unwrap())
+                    .collect::<Vec<u8>>()
+            })
+        };
+        assert_eq!(memory(a), memory(b));
+        assert_eq!(a.clock().now(), b.clock().now());
     }
 
     #[test]

@@ -1,12 +1,22 @@
 //! Reader-side NDEF procedures: the command sequences a phone's NFC stack
 //! executes against a tag to detect the NDEF application, read the stored
-//! message, and write a new one.
+//! message, write a new one, and make the tag read-only.
 //!
-//! The procedures are written against the [`Transceive`] trait so the same
-//! code drives a directly-connected emulator (unit tests), the simulated
-//! radio link (which injects loss and latency between commands), or any
-//! future transport. Because a write is *many* commands, a mid-operation
-//! field loss leaves the tag in a realistic torn state.
+//! Each procedure is written once, as a sans-IO step machine
+//! ([`Procedure`]): it holds the next command, is fed the tag's response,
+//! and either asks for its new command to be sent or ends with a result.
+//! It never touches a link, so every caller runs the same code:
+//!
+//! * [`detect`], [`read_ndef`], [`write_ndef`] and [`make_read_only`] loop
+//!   over it on any [`Transceive`] (a directly connected emulator in unit
+//!   tests, or any future transport);
+//! * [`crate::controller`] drives it over the simulated radio, blocking
+//!   for each exchange's air time or resuming it from a scheduler.
+//!
+//! Because a write is *many* commands, a mid-operation field loss leaves
+//! the tag in a realistic torn state.
+
+use std::ops::Range;
 
 use crate::error::{LinkError, NfcOpError, TagError};
 use crate::tag::{type2, type4, TagEmulator, TagTech};
@@ -73,9 +83,9 @@ pub struct NdefTagInfo {
 /// * [`NfcOpError::NotNdef`] — no capability container / NDEF application.
 /// * [`NfcOpError::Protocol`] — the tag answered with malformed data.
 pub fn detect(link: &mut impl Transceive, tech: TagTech) -> Result<NdefTagInfo, NfcOpError> {
-    match tech {
-        TagTech::Type2 => t2_detect(link),
-        TagTech::Type4 => t4_detect(link).map(|s| s.info),
+    match run(link, tech, NdefOp::<&[u8]>::Detect)? {
+        Outcome::Info(info) => Ok(info),
+        _ => unreachable!("detection ends with the tag's info"),
     }
 }
 
@@ -88,9 +98,9 @@ pub fn detect(link: &mut impl Transceive, tech: TagTech) -> Result<NdefTagInfo, 
 ///
 /// Same classes as [`detect`].
 pub fn read_ndef(link: &mut impl Transceive, tech: TagTech) -> Result<Vec<u8>, NfcOpError> {
-    match tech {
-        TagTech::Type2 => t2_read_ndef(link),
-        TagTech::Type4 => t4_read_ndef(link),
+    match run(link, tech, NdefOp::<&[u8]>::Read)? {
+        Outcome::Bytes(bytes) => Ok(bytes),
+        _ => unreachable!("a read ends with the message"),
     }
 }
 
@@ -106,10 +116,7 @@ pub fn write_ndef(
     tech: TagTech,
     message: &[u8],
 ) -> Result<(), NfcOpError> {
-    match tech {
-        TagTech::Type2 => t2_write_ndef(link, message),
-        TagTech::Type4 => t4_write_ndef(link, message),
-    }
+    run(link, tech, NdefOp::Write(message)).map(drop)
 }
 
 /// Permanently write-protects the tag — the analog of Android's
@@ -124,73 +131,395 @@ pub fn write_ndef(
 ///   is refused).
 /// * plus the classes of [`detect`].
 pub fn make_read_only(link: &mut impl Transceive, tech: TagTech) -> Result<(), NfcOpError> {
-    match tech {
-        TagTech::Type2 => {
-            let resp = link.transceive(&[type2::CMD_READ, 3])?;
-            if resp.len() < 4 {
-                return Err(NfcOpError::Protocol("short CC read response"));
-            }
-            if resp[0] != type2::CC_MAGIC {
-                return Err(NfcOpError::NotNdef);
-            }
-            let cc = [resp[0], resp[1], resp[2], resp[3] | 0x0F];
-            let write = [type2::CMD_WRITE, 3, cc[0], cc[1], cc[2], cc[3]];
-            match link.transceive(&write)?.as_slice() {
-                [type2::ACK] => Ok(()),
-                _ => Err(NfcOpError::ReadOnly),
-            }
-        }
-        TagTech::Type4 => {
-            let session = t4_detect(link)?;
-            if !session.info.writable {
-                return Err(NfcOpError::ReadOnly);
-            }
-            let resp = link.transceive(&t4_select_file_apdu(type4::CC_FILE_ID))?;
-            if !sw_ok(&resp) {
-                return Err(NfcOpError::Protocol("CC file select failed"));
-            }
-            let resp = link.transceive(&t4_update_binary_apdu(14, &[0xFF]))?;
-            if !sw_ok(&resp) {
-                return Err(NfcOpError::ReadOnly);
-            }
-            Ok(())
+    run(link, tech, NdefOp::<&[u8]>::MakeReadOnly).map(drop)
+}
+
+/// The synchronous driver: one exchange per step until the procedure ends.
+fn run<M: AsRef<[u8]>>(
+    link: &mut impl Transceive,
+    tech: TagTech,
+    op: NdefOp<M>,
+) -> Result<Outcome, NfcOpError> {
+    let mut procedure = Procedure::new(op, tech);
+    loop {
+        let response = link.transceive(procedure.command());
+        if let Some(result) = procedure.feed(response.as_deref()) {
+            return result;
         }
     }
 }
 
-// ---------------------------------------------------------------------
-// Type 2 procedures
-// ---------------------------------------------------------------------
+/// Which NDEF procedure a [`Procedure`] runs; `M` holds a write's message.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum NdefOp<M> {
+    /// [`detect`]: ends with [`Outcome::Info`].
+    Detect,
+    /// [`read_ndef`]: ends with [`Outcome::Bytes`].
+    Read,
+    /// [`write_ndef`]: ends with [`Outcome::Done`].
+    Write(M),
+    /// [`make_read_only`]: ends with [`Outcome::Done`].
+    MakeReadOnly,
+}
 
-struct T2Layout {
-    data_area_len: usize,
+/// What a procedure that succeeded returns.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Outcome {
+    /// What detection learned.
+    Info(NdefTagInfo),
+    /// The NDEF message read (empty: a blank tag).
+    Bytes(Vec<u8>),
+    /// The write or lock took effect.
+    Done,
+}
+
+/// The most NDEF bytes one Type 4 UPDATE BINARY carries.
+const T4_CHUNK: usize = 250;
+
+/// Which command a procedure has out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    T2Cc,
+    T2Read,
+    T2Write,
+    T2Lock,
+    T4App,
+    T4Cc,
+    T4ReadCc,
+    T4Ndef,
+    T4Nlen,
+    T4Read,
+    T4Zero,
+    T4Write,
+    T4Length,
+    T4CcToLock,
+    T4Lock,
+}
+
+/// One NDEF procedure as a sans-IO step machine.
+///
+/// [`Procedure::new`] puts the first command in place. A driver sends
+/// [`Procedure::command`] and feeds the response to [`Procedure::feed`],
+/// which puts the next command in place or ends the procedure. Each
+/// command follows from the responses before it, so the machine is all
+/// the state a driver keeps between exchanges: a driver that stops while
+/// an exchange is on the air feeds its response in later and re-runs
+/// nothing.
+#[derive(Debug, Clone)]
+pub struct Procedure<M> {
+    op: NdefOp<M>,
+    phase: Phase,
+    command: [u8; 5 + T4_CHUNK],
+    command_len: usize,
+    /// From the capability container. `limit` is Type 2's data area or
+    /// Type 4's NDEF file size; `mle`, `mlc` and `file` are Type 4's
+    /// READ and UPDATE BINARY limits and NDEF file id.
+    limit: usize,
     writable: bool,
+    mle: usize,
+    mlc: usize,
+    file: u16,
+    /// A read's bytes so far: Type 2's data area, Type 4's message.
+    data: Vec<u8>,
+    /// Type 2: the next page, or the next byte of the TLV area to write.
+    /// Type 4: the next NDEF file offset.
+    next: usize,
+    /// Type 4: the length of the message read or written.
+    nlen: usize,
 }
 
-fn t2_read_cc(link: &mut impl Transceive) -> Result<T2Layout, NfcOpError> {
-    let resp = link.transceive(&[type2::CMD_READ, 3])?;
-    if resp.len() < 4 {
-        return Err(NfcOpError::Protocol("short CC read response"));
+impl<M: AsRef<[u8]>> Procedure<M> {
+    /// The procedure for a tag of `tech`, its first command in place.
+    pub fn new(op: NdefOp<M>, tech: TagTech) -> Procedure<M> {
+        let mut procedure = Procedure {
+            op,
+            phase: Phase::T2Cc,
+            command: [0; 5 + T4_CHUNK],
+            command_len: 0,
+            limit: 0,
+            writable: false,
+            mle: 0,
+            mlc: 0,
+            file: 0,
+            data: Vec::new(),
+            next: 0,
+            nlen: 0,
+        };
+        if tech == TagTech::Type2 {
+            procedure.send(Phase::T2Cc, &[type2::CMD_READ, 3], &[]);
+        } else {
+            let header = [0x00, 0xA4, 0x04, 0x00, type4::NDEF_AID.len() as u8];
+            procedure.send(Phase::T4App, &header, &type4::NDEF_AID);
+            procedure.command[procedure.command_len] = 0x00; // Le
+            procedure.command_len += 1;
+        }
+        procedure
     }
-    if resp[0] != type2::CC_MAGIC {
-        return Err(NfcOpError::NotNdef);
+
+    /// The command to send next.
+    pub fn command(&self) -> &[u8] {
+        &self.command[..self.command_len]
     }
-    Ok(T2Layout { data_area_len: resp[2] as usize * 8, writable: resp[3] & 0x0F == 0 })
+
+    /// Feeds the response to [`Procedure::command`]: `None` once the next
+    /// command is in place, or the procedure's result; a link error ends
+    /// it with [`NfcOpError::Link`].
+    pub fn feed(
+        &mut self,
+        response: Result<&[u8], &LinkError>,
+    ) -> Option<Result<Outcome, NfcOpError>> {
+        match response {
+            Ok(response) => self.advance(response).transpose(),
+            Err(e) => Some(Err(NfcOpError::Link(e.clone()))),
+        }
+    }
+
+    fn message(&self) -> &[u8] {
+        match &self.op {
+            NdefOp::Write(message) => message.as_ref(),
+            _ => &[],
+        }
+    }
+
+    /// Puts `header` then `body` in place as the next command.
+    fn send(&mut self, phase: Phase, header: &[u8], body: &[u8]) -> Option<Outcome> {
+        self.phase = phase;
+        self.command_len = header.len() + body.len();
+        self.command[..header.len()].copy_from_slice(header);
+        self.command[header.len()..self.command_len].copy_from_slice(body);
+        None
+    }
+
+    /// A Type 4 APDU: SELECT by file id (INS A4), READ BINARY (B0, `body`
+    /// is Le) or UPDATE BINARY (D6, `body` is the data).
+    fn apdu(&mut self, phase: Phase, ins: u8, p: usize, body: &[u8]) -> Option<Outcome> {
+        let [p1, p2] = (p as u16).to_be_bytes();
+        match ins {
+            0xB0 => self.send(phase, &[0x00, ins, p1, p2], body),
+            _ => self.send(phase, &[0x00, ins, p1, p2, body.len() as u8], body),
+        }
+    }
+
+    fn select(&mut self, phase: Phase, file: u16) -> Option<Outcome> {
+        self.apdu(phase, 0xA4, 0x000C, &file.to_be_bytes())
+    }
+
+    /// The step after `r`, the response to the command out: `Ok(None)`
+    /// once the next command is in place.
+    fn advance(&mut self, r: &[u8]) -> Result<Option<Outcome>, NfcOpError> {
+        use Phase::*;
+        let sw_ok = r.len() >= 2 && r[r.len() - 2..] == type4::SW_OK;
+        let refused = |ok: bool, error: NfcOpError| if ok { Ok(()) } else { Err(error) };
+        Ok(match self.phase {
+            T2Cc => {
+                refused(r.len() >= 4, NfcOpError::Protocol("short CC read response"))?;
+                refused(r[0] == type2::CC_MAGIC, NfcOpError::NotNdef)?;
+                self.limit = r[2] as usize * 8;
+                self.writable = r[3] & 0x0F == 0;
+                match self.op {
+                    NdefOp::Detect => {
+                        let short = self.limit.saturating_sub(3).min(0xFE);
+                        let capacity = short.max(self.limit.saturating_sub(5));
+                        let writable = self.writable;
+                        Some(Outcome::Info(NdefTagInfo {
+                            tech: TagTech::Type2,
+                            capacity,
+                            writable,
+                        }))
+                    }
+                    NdefOp::Read => {
+                        self.next = 4;
+                        self.t2_read()?
+                    }
+                    NdefOp::Write(_) => {
+                        refused(self.writable, NfcOpError::ReadOnly)?;
+                        let needed = self.message().len();
+                        let overhead = t2_tlv_header(needed).1 + 1;
+                        if needed + overhead > self.limit {
+                            let capacity = self.limit.saturating_sub(overhead);
+                            return Err(NfcOpError::CapacityExceeded { needed, capacity });
+                        }
+                        self.t2_write()
+                    }
+                    NdefOp::MakeReadOnly => {
+                        let cc = [r[0], r[1], r[2], r[3] | 0x0F];
+                        self.send(T2Lock, &[type2::CMD_WRITE, 3], &cc)
+                    }
+                }
+            }
+            T2Read => {
+                refused(r.len() == 16, NfcOpError::Protocol("READ response was not 16 bytes"))?;
+                self.data.extend_from_slice(r);
+                self.data.truncate(self.limit);
+                self.next += 4;
+                self.t2_read()?
+            }
+            T2Write | T2Lock => {
+                refused(r == [type2::ACK], NfcOpError::ReadOnly)?;
+                self.next += 4;
+                let area = t2_tlv_header(self.message().len()).1 + self.message().len() + 1;
+                match self.phase == T2Lock || self.next >= area {
+                    true => Some(Outcome::Done),
+                    false => self.t2_write(),
+                }
+            }
+            T4App | T4Cc => {
+                refused(sw_ok, NfcOpError::NotNdef)?;
+                match self.phase {
+                    T4App => self.select(T4Cc, type4::CC_FILE_ID),
+                    _ => self.apdu(T4ReadCc, 0xB0, 0, &[15]),
+                }
+            }
+            T4ReadCc => {
+                refused(sw_ok && r.len() >= 17, NfcOpError::Protocol("CC file read failed"))?;
+                let tlv = r[7] == 0x04 && r[8] == 0x06;
+                refused(tlv, NfcOpError::Protocol("CC lacks NDEF file control TLV"))?;
+                let word = |i: usize| u16::from_be_bytes([r[i], r[i + 1]]);
+                (self.mle, self.mlc) = (word(3) as usize, word(5) as usize);
+                (self.file, self.limit) = (word(9), word(11) as usize);
+                let valid = self.mle != 0 && self.mlc != 0 && self.limit >= 2;
+                refused(valid, NfcOpError::Protocol("CC limits are invalid"))?;
+                self.writable = r[14] == 0x00;
+                self.nlen = self.message().len();
+                match self.op {
+                    NdefOp::Detect => Some(Outcome::Info(NdefTagInfo {
+                        tech: TagTech::Type4,
+                        capacity: self.limit - 2,
+                        writable: self.writable,
+                    })),
+                    NdefOp::Read => self.select(T4Ndef, self.file),
+                    NdefOp::Write(_) => {
+                        refused(self.writable, NfcOpError::ReadOnly)?;
+                        if self.nlen + 2 > self.limit {
+                            let (needed, capacity) = (self.nlen, self.limit - 2);
+                            return Err(NfcOpError::CapacityExceeded { needed, capacity });
+                        }
+                        self.select(T4Ndef, self.file)
+                    }
+                    NdefOp::MakeReadOnly => {
+                        refused(self.writable, NfcOpError::ReadOnly)?;
+                        self.select(T4CcToLock, type4::CC_FILE_ID)
+                    }
+                }
+            }
+            T4Ndef => {
+                refused(sw_ok, NfcOpError::Protocol("NDEF file select failed"))?;
+                match self.op {
+                    // Zero NLEN first so a torn write reads back as an
+                    // empty tag rather than as garbage — the Type 4
+                    // mapping's prescribed write order.
+                    NdefOp::Write(_) => self.apdu(T4Zero, 0xD6, 0, &[0, 0]),
+                    _ => self.apdu(T4Nlen, 0xB0, 0, &[2]),
+                }
+            }
+            T4Nlen => {
+                refused(sw_ok && r.len() == 4, NfcOpError::Protocol("NLEN read failed"))?;
+                self.nlen = u16::from_be_bytes([r[0], r[1]]) as usize;
+                let fits = self.nlen + 2 <= self.limit;
+                refused(fits, NfcOpError::Protocol("NLEN exceeds the NDEF file"))?;
+                self.data = Vec::with_capacity(self.nlen);
+                self.next = 2;
+                self.t4_read()
+            }
+            T4Read => {
+                let want = self.t4_read_len();
+                let ok = sw_ok && r.len() == want + 2;
+                refused(ok, NfcOpError::Protocol("NDEF file read failed"))?;
+                self.data.extend_from_slice(&r[..want]);
+                self.next += want;
+                self.t4_read()
+            }
+            T4Zero | T4Write => {
+                refused(sw_ok, NfcOpError::ReadOnly)?;
+                self.next = if self.phase == T4Zero { 2 } else { self.t4_chunk().end + 2 };
+                let chunk = self.t4_chunk();
+                if chunk.is_empty() {
+                    let nlen = (self.nlen as u16).to_be_bytes();
+                    self.apdu(T4Length, 0xD6, 0, &nlen)
+                } else {
+                    let mut data = [0; T4_CHUNK];
+                    let data = &mut data[..chunk.len()];
+                    data.copy_from_slice(&self.message()[chunk]);
+                    self.apdu(T4Write, 0xD6, self.next, data)
+                }
+            }
+            T4Length | T4Lock => {
+                refused(sw_ok, NfcOpError::ReadOnly)?;
+                Some(Outcome::Done)
+            }
+            T4CcToLock => {
+                refused(sw_ok, NfcOpError::Protocol("CC file select failed"))?;
+                self.apdu(T4Lock, 0xD6, 14, &[0xFF])
+            }
+        })
+    }
+
+    /// Type 2 reads lazily, 16 bytes at a time, and stops as soon as the
+    /// NDEF TLV is complete — real readers do not sweep the whole EEPROM.
+    fn t2_read(&mut self) -> Result<Option<Outcome>, NfcOpError> {
+        if let Some(payload) = t2_find_ndef(&self.data, self.limit)? {
+            self.data.truncate(payload.end);
+            self.data.drain(..payload.start);
+            return Ok(Some(Outcome::Bytes(std::mem::take(&mut self.data))));
+        }
+        if self.data.len() >= self.limit {
+            return Err(NfcOpError::Protocol("missing NDEF TLV"));
+        }
+        Ok(self.send(Phase::T2Read, &[type2::CMD_READ, self.next as u8], &[]))
+    }
+
+    /// Writes the page at byte `next` of the TLV area: NDEF TLV,
+    /// terminator, zero padding to a whole page.
+    fn t2_write(&mut self) -> Option<Outcome> {
+        let message = self.message();
+        let (header, header_len) = t2_tlv_header(message.len());
+        let byte = |i: usize| match i.checked_sub(header_len) {
+            None => header[i],
+            Some(j) => message.get(j).copied().unwrap_or(if j == message.len() { 0xFE } else { 0 }),
+        };
+        let at = self.next;
+        let page = [byte(at), byte(at + 1), byte(at + 2), byte(at + 3)];
+        self.send(Phase::T2Write, &[type2::CMD_WRITE, (4 + at / 4) as u8], &page)
+    }
+
+    fn t4_read_len(&self) -> usize {
+        (self.nlen - self.data.len()).min(self.mle).min(255)
+    }
+
+    fn t4_read(&mut self) -> Option<Outcome> {
+        if self.data.len() < self.nlen {
+            let le = self.t4_read_len() as u8;
+            self.apdu(Phase::T4Read, 0xB0, self.next, &[le])
+        } else {
+            Some(Outcome::Bytes(std::mem::take(&mut self.data)))
+        }
+    }
+
+    /// The message bytes the UPDATE BINARY at file offset `next` carries.
+    fn t4_chunk(&self) -> Range<usize> {
+        let start = self.next - 2;
+        start..(start + self.mlc.min(T4_CHUNK)).min(self.nlen)
+    }
 }
 
-fn t2_detect(link: &mut impl Transceive) -> Result<NdefTagInfo, NfcOpError> {
-    let layout = t2_read_cc(link)?;
-    let short = layout.data_area_len.saturating_sub(3).min(0xFE);
-    let long = layout.data_area_len.saturating_sub(5);
-    Ok(NdefTagInfo { tech: TagTech::Type2, capacity: short.max(long), writable: layout.writable })
+/// A Type 2 NDEF TLV's header for a `len`-byte message, and how many of
+/// its bytes are used (the 1-byte or the 3-byte length form).
+fn t2_tlv_header(len: usize) -> ([u8; 4], usize) {
+    match u8::try_from(len) {
+        Ok(short) if short != 0xFF => ([0x03, short, 0, 0], 2),
+        _ => {
+            let [hi, lo] = (len as u16).to_be_bytes();
+            ([0x03, 0xFF, hi, lo], 4)
+        }
+    }
 }
 
-/// Walks the TLV blocks gathered so far. Returns the NDEF payload when
-/// the NDEF TLV is completely available, `None` when more bytes are
-/// needed, or a protocol error when the structure is definitely invalid.
-/// `limit` is the full data-area size: structures pointing beyond it can
-/// never become valid.
-fn t2_extract_ndef(area: &[u8], limit: usize) -> Result<Option<Vec<u8>>, NfcOpError> {
+/// Walks the TLV blocks gathered so far. Returns where the NDEF payload
+/// lies once the NDEF TLV is complete, `None` when more bytes are needed,
+/// or a protocol error when the structure is definitely invalid. `limit`
+/// is the full data-area size: structures pointing beyond it can never
+/// become valid.
+fn t2_find_ndef(area: &[u8], limit: usize) -> Result<Option<Range<usize>>, NfcOpError> {
     let mut i = 0usize;
     loop {
         if i >= limit {
@@ -224,214 +553,11 @@ fn t2_extract_ndef(area: &[u8], limit: usize) -> Result<Option<Vec<u8>>, NfcOpEr
                 if end > area.len() {
                     return Ok(None);
                 }
-                return Ok(Some(area[start..end].to_vec()));
+                return Ok(Some(start..end));
             }
             _ => return Err(NfcOpError::Protocol("unknown TLV block")),
         }
     }
-}
-
-fn t2_read_ndef(link: &mut impl Transceive) -> Result<Vec<u8>, NfcOpError> {
-    let layout = t2_read_cc(link)?;
-    // Read lazily, 16 bytes at a time, stopping as soon as the NDEF TLV
-    // is complete — real readers do not sweep the whole EEPROM.
-    let mut area: Vec<u8> = Vec::new();
-    let mut page = 4usize;
-    loop {
-        if let Some(payload) = t2_extract_ndef(&area, layout.data_area_len)? {
-            return Ok(payload);
-        }
-        if area.len() >= layout.data_area_len {
-            return Err(NfcOpError::Protocol("missing NDEF TLV"));
-        }
-        let resp = link.transceive(&[type2::CMD_READ, page as u8])?;
-        if resp.len() != 16 {
-            return Err(NfcOpError::Protocol("READ response was not 16 bytes"));
-        }
-        area.extend_from_slice(&resp);
-        area.truncate(layout.data_area_len);
-        page += 4;
-    }
-}
-
-fn t2_write_ndef(link: &mut impl Transceive, message: &[u8]) -> Result<(), NfcOpError> {
-    let layout = t2_read_cc(link)?;
-    if !layout.writable {
-        return Err(NfcOpError::ReadOnly);
-    }
-    // Serialize the TLV area: NDEF TLV + terminator.
-    let mut area = Vec::with_capacity(message.len() + 5);
-    area.push(0x03);
-    if message.len() <= 0xFE {
-        area.push(message.len() as u8);
-    } else {
-        area.push(0xFF);
-        area.extend_from_slice(&(message.len() as u16).to_be_bytes());
-    }
-    area.extend_from_slice(message);
-    area.push(0xFE);
-    if area.len() > layout.data_area_len {
-        let overhead = area.len() - message.len();
-        return Err(NfcOpError::CapacityExceeded {
-            needed: message.len(),
-            capacity: layout.data_area_len - overhead,
-        });
-    }
-    // Pad to a whole number of pages and write page by page.
-    while area.len() % 4 != 0 {
-        area.push(0x00);
-    }
-    for (offset, chunk) in area.chunks(4).enumerate() {
-        let page = 4 + offset;
-        let cmd = [type2::CMD_WRITE, page as u8, chunk[0], chunk[1], chunk[2], chunk[3]];
-        let resp = link.transceive(&cmd)?;
-        if resp != [type2::ACK] {
-            return Err(NfcOpError::ReadOnly);
-        }
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// Type 4 procedures
-// ---------------------------------------------------------------------
-
-/// Builds the `SELECT` by AID APDU for the NDEF Tag Application.
-pub fn t4_select_app_apdu() -> Vec<u8> {
-    let mut apdu = vec![0x00, 0xA4, 0x04, 0x00, type4::NDEF_AID.len() as u8];
-    apdu.extend_from_slice(&type4::NDEF_AID);
-    apdu.push(0x00);
-    apdu
-}
-
-/// Builds the `SELECT` by file-id APDU.
-pub fn t4_select_file_apdu(file_id: u16) -> Vec<u8> {
-    let fid = file_id.to_be_bytes();
-    vec![0x00, 0xA4, 0x00, 0x0C, 0x02, fid[0], fid[1]]
-}
-
-fn t4_read_binary_apdu(offset: u16, le: u8) -> Vec<u8> {
-    let o = offset.to_be_bytes();
-    vec![0x00, 0xB0, o[0], o[1], le]
-}
-
-fn t4_update_binary_apdu(offset: u16, data: &[u8]) -> Vec<u8> {
-    let o = offset.to_be_bytes();
-    let mut apdu = vec![0x00, 0xD6, o[0], o[1], data.len() as u8];
-    apdu.extend_from_slice(data);
-    apdu
-}
-
-fn sw_ok(resp: &[u8]) -> bool {
-    resp.len() >= 2 && resp[resp.len() - 2..] == type4::SW_OK
-}
-
-struct T4Session {
-    info: NdefTagInfo,
-    ndef_file_id: u16,
-    max_ndef_file: usize,
-    mle: usize,
-    mlc: usize,
-}
-
-fn t4_detect(link: &mut impl Transceive) -> Result<T4Session, NfcOpError> {
-    let resp = link.transceive(&t4_select_app_apdu())?;
-    if !sw_ok(&resp) {
-        return Err(NfcOpError::NotNdef);
-    }
-    let resp = link.transceive(&t4_select_file_apdu(type4::CC_FILE_ID))?;
-    if !sw_ok(&resp) {
-        return Err(NfcOpError::NotNdef);
-    }
-    let resp = link.transceive(&t4_read_binary_apdu(0, 15))?;
-    if !sw_ok(&resp) || resp.len() < 17 {
-        return Err(NfcOpError::Protocol("CC file read failed"));
-    }
-    let cc = &resp[..15];
-    if cc[7] != 0x04 || cc[8] != 0x06 {
-        return Err(NfcOpError::Protocol("CC lacks NDEF file control TLV"));
-    }
-    let mle = u16::from_be_bytes([cc[3], cc[4]]) as usize;
-    let mlc = u16::from_be_bytes([cc[5], cc[6]]) as usize;
-    let ndef_file_id = u16::from_be_bytes([cc[9], cc[10]]);
-    let max_ndef_file = u16::from_be_bytes([cc[11], cc[12]]) as usize;
-    if mle == 0 || mlc == 0 || max_ndef_file < 2 {
-        return Err(NfcOpError::Protocol("CC limits are invalid"));
-    }
-    let writable = cc[14] == 0x00;
-    Ok(T4Session {
-        info: NdefTagInfo { tech: TagTech::Type4, capacity: max_ndef_file - 2, writable },
-        ndef_file_id,
-        max_ndef_file,
-        mle,
-        mlc,
-    })
-}
-
-fn t4_select_ndef(link: &mut impl Transceive, session: &T4Session) -> Result<(), NfcOpError> {
-    let resp = link.transceive(&t4_select_file_apdu(session.ndef_file_id))?;
-    if !sw_ok(&resp) {
-        return Err(NfcOpError::Protocol("NDEF file select failed"));
-    }
-    Ok(())
-}
-
-fn t4_read_ndef(link: &mut impl Transceive) -> Result<Vec<u8>, NfcOpError> {
-    let session = t4_detect(link)?;
-    t4_select_ndef(link, &session)?;
-    let resp = link.transceive(&t4_read_binary_apdu(0, 2))?;
-    if !sw_ok(&resp) || resp.len() != 4 {
-        return Err(NfcOpError::Protocol("NLEN read failed"));
-    }
-    let nlen = u16::from_be_bytes([resp[0], resp[1]]) as usize;
-    if nlen + 2 > session.max_ndef_file {
-        return Err(NfcOpError::Protocol("NLEN exceeds the NDEF file"));
-    }
-    let mut message = Vec::with_capacity(nlen);
-    let mut offset = 2usize;
-    while message.len() < nlen {
-        let want = (nlen - message.len()).min(session.mle).min(255);
-        let resp = link.transceive(&t4_read_binary_apdu(offset as u16, want as u8))?;
-        if !sw_ok(&resp) || resp.len() != want + 2 {
-            return Err(NfcOpError::Protocol("NDEF file read failed"));
-        }
-        message.extend_from_slice(&resp[..want]);
-        offset += want;
-    }
-    Ok(message)
-}
-
-fn t4_write_ndef(link: &mut impl Transceive, message: &[u8]) -> Result<(), NfcOpError> {
-    let session = t4_detect(link)?;
-    if !session.info.writable {
-        return Err(NfcOpError::ReadOnly);
-    }
-    if message.len() + 2 > session.max_ndef_file {
-        return Err(NfcOpError::CapacityExceeded {
-            needed: message.len(),
-            capacity: session.max_ndef_file - 2,
-        });
-    }
-    t4_select_ndef(link, &session)?;
-    // Zero NLEN first so a torn write reads back as an empty tag rather
-    // than as garbage — the Type 4 mapping's prescribed write order.
-    let resp = link.transceive(&t4_update_binary_apdu(0, &[0, 0]))?;
-    if !sw_ok(&resp) {
-        return Err(NfcOpError::ReadOnly);
-    }
-    let mut offset = 2usize;
-    for chunk in message.chunks(session.mlc.min(250)) {
-        let resp = link.transceive(&t4_update_binary_apdu(offset as u16, chunk))?;
-        if !sw_ok(&resp) {
-            return Err(NfcOpError::ReadOnly);
-        }
-        offset += chunk.len();
-    }
-    let resp = link.transceive(&t4_update_binary_apdu(0, &(message.len() as u16).to_be_bytes()))?;
-    if !sw_ok(&resp) {
-        return Err(NfcOpError::ReadOnly);
-    }
-    Ok(())
 }
 
 #[cfg(test)]

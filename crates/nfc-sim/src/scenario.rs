@@ -287,7 +287,7 @@ impl Scenario {
         let mut elapsed = Duration::ZERO;
         for (t, action) in &self.steps {
             if *t > elapsed {
-                world.sleep(*t - elapsed);
+                world.clock().sleep(*t - elapsed);
                 elapsed = *t;
             }
             Scenario::apply(world, action);
@@ -311,6 +311,7 @@ impl Scenario {
 mod tests {
     use super::*;
     use crate::clock::{Clock, SimInstant, VirtualClock};
+    use crate::controller::NfcHandle;
     use crate::link::LinkModel;
     use crate::tag::Type2Tag;
     use crate::world::{NfcEvent, World};
@@ -443,15 +444,15 @@ mod tests {
         );
         let phone = world.add_phone("p");
         let uid = world.add_tag(Box::new(Type2Tag::ntag213(TagUid::from_seed(9))));
+        let nfc = NfcHandle::new(world.clone(), phone);
         // At contact every exchange succeeds…
         world.place_tag_near(uid, phone, 0.0);
         for _ in 0..20 {
-            assert!(world.transceive(phone, uid, &[0x30, 3]).is_ok());
+            assert!(nfc.transceive(uid, &[0x30, 3]).is_ok());
         }
         // …close to the very edge, exchanges mostly fail.
         world.place_tag_near(uid, phone, 0.039);
-        let failures =
-            (0..50).filter(|_| world.transceive(phone, uid, &[0x30, 3]).is_err()).count();
+        let failures = (0..50).filter(|_| nfc.transceive(uid, &[0x30, 3]).is_err()).count();
         assert!(failures > 25, "edge of field must be unreliable, saw {failures}/50 failures");
     }
 

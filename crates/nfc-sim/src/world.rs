@@ -2,6 +2,10 @@
 //! event feed per phone, command exchanges over the lossy link, and the
 //! peer-to-peer push channel ("Beam").
 //!
+//! Radio operations are non-blocking `begin_*`/`finish_*` pairs: the
+//! world never waits on its clock. [`crate::controller::NfcHandle`]
+//! drives them, blocking or resumable.
+//!
 //! The world is the single source of truth for *where things are*. Every
 //! proximity change (a tap, a tag pulled away, two phones brought
 //! together) synchronously produces [`NfcEvent`]s on the affected phones'
@@ -118,8 +122,7 @@ pub struct RadioStats {
 }
 
 /// A radio operation on the air, begun without waiting by
-/// [`World::begin_transceive`], [`World::begin_beam`] or
-/// [`World::begin_beam_to`]. Its effect lands only when the matching
+/// [`World::begin_transceive`] or [`World::begin_beam`]. Its effect lands only when the matching
 /// `finish_*` runs, at or after [`InFlight::done_at`]; an exchange that is
 /// dropped instead never reaches the tag or peer.
 #[derive(Debug)]
@@ -129,6 +132,8 @@ pub struct InFlight {
     air_time: Duration,
     /// Link noise, sampled when the exchange began.
     fails: bool,
+    /// A directed beam's peer.
+    to: Option<PhoneId>,
     /// The peers in range when an undirected beam began; empty otherwise.
     peers: Vec<PhoneId>,
 }
@@ -732,35 +737,6 @@ impl World {
     // Radio operations
     // -----------------------------------------------------------------
 
-    /// Performs one command/response exchange between `phone` and `uid`,
-    /// blocking the calling thread for its air time:
-    /// [`World::begin_transceive`], a sleep on the world clock for the air
-    /// time, [`World::finish_transceive`], then a second sleep for any
-    /// stall or spike dwell.
-    ///
-    /// The exchange may fail probabilistically; if the tag leaves the
-    /// field while the exchange is in flight, the command is lost
-    /// ([`LinkError::FieldLost`]) even though earlier commands may
-    /// already have mutated the tag — this is how torn writes arise.
-    ///
-    /// # Errors
-    ///
-    /// [`LinkError`] on any radio-level failure.
-    pub fn transceive(
-        &self,
-        phone: PhoneId,
-        uid: TagUid,
-        command: &[u8],
-    ) -> Result<Vec<u8>, LinkError> {
-        let flight = self.begin_transceive(phone, uid, command)?;
-        self.clock.sleep(flight.air_time);
-        let (response, dwell) = self.finish_transceive(phone, uid, command, flight);
-        if !dwell.is_zero() {
-            self.clock.sleep(dwell);
-        }
-        response
-    }
-
     /// Puts one command on the air without waiting for it: counts the
     /// exchange, checks that both ends exist and are in range, samples
     /// link noise, and returns when the air time ends. Nothing reaches
@@ -901,47 +877,48 @@ impl World {
     }
 
     fn in_flight(&self, air_time: Duration, fails: bool, peers: Vec<PhoneId>) -> InFlight {
-        InFlight { done_at: self.clock.now() + air_time, air_time, fails, peers }
+        InFlight { done_at: self.clock.now() + air_time, air_time, fails, to: None, peers }
     }
 
-    /// Beams `bytes` from `from` to every peer in range (NFC push is
-    /// undirected), blocking for the air time: [`World::begin_beam`], a
-    /// sleep, [`World::finish_beam`]. Returns how many peers received it.
+    /// Puts a push from `from` on the air without waiting for it; see
+    /// [`World::begin_transceive`]. A push `to` one peer models the
+    /// connection-oriented (LLCP-style) transport real NFC P2P stacks run
+    /// on top of the broadcast radio; with no `to` it goes to every peer
+    /// in range, as NFC push is undirected.
     ///
     /// # Errors
     ///
-    /// * [`LinkError::NoPeerInRange`] — nobody to push to.
-    /// * [`LinkError::FieldLost`] — the peers moved away mid-transfer.
-    /// * [`LinkError::TransmissionError`] — noise corrupted the push.
-    pub fn beam(&self, from: PhoneId, bytes: &[u8]) -> Result<usize, LinkError> {
-        let flight = self.begin_beam(from, bytes)?;
-        self.clock.sleep(flight.air_time);
-        self.finish_beam(from, bytes, flight)
-    }
-
-    /// Puts an undirected push on the air without waiting for it; see
-    /// [`World::beam`] and [`World::begin_transceive`].
-    ///
-    /// # Errors
-    ///
-    /// [`LinkError::UnknownDevice`] or [`LinkError::NoPeerInRange`].
-    pub fn begin_beam(&self, from: PhoneId, bytes: &[u8]) -> Result<InFlight, LinkError> {
+    /// [`LinkError::UnknownDevice`]; [`LinkError::OutOfRange`] when `to`
+    /// is not in beam range; [`LinkError::NoPeerInRange`] when an
+    /// undirected push has nobody to reach.
+    pub fn begin_beam(
+        &self,
+        from: PhoneId,
+        to: Option<PhoneId>,
+        bytes: &[u8],
+    ) -> Result<InFlight, LinkError> {
         let mut state = self.state.lock();
         state.radio.beams += 1;
-        if !state.phones.contains_key(&from) {
+        if !state.phones.contains_key(&from) || to.is_some_and(|to| !state.phones.contains_key(&to))
+        {
             return Err(LinkError::UnknownDevice);
         }
-        let peers = state.peers_in_range(from);
-        if peers.is_empty() {
+        let peers = match to {
+            Some(to) if !state.peer_in_range(from, to) => return Err(LinkError::OutOfRange),
+            Some(_) => Vec::new(),
+            None => state.peers_in_range(from),
+        };
+        if to.is_none() && peers.is_empty() {
             return Err(LinkError::NoPeerInRange);
         }
         let link = state.link.clone();
         let fails = link.sample_failure(0.0, &mut state.rng);
-        Ok(self.in_flight(link.exchange_latency(bytes.len()), fails, peers))
+        Ok(InFlight { to, ..self.in_flight(link.exchange_latency(bytes.len()), fails, peers) })
     }
 
     /// Lands a push begun by [`World::begin_beam`] with the same `bytes`:
-    /// delivers it to every peer that stayed in range.
+    /// delivers it to the peers it was sent to that stayed in range, and
+    /// returns how many those are.
     ///
     /// # Errors
     ///
@@ -952,12 +929,12 @@ impl World {
         bytes: &[u8],
         flight: InFlight,
     ) -> Result<usize, LinkError> {
+        let now = self.clock.now();
         let mut state = self.state.lock();
         state.radio.air_time_nanos += flight.air_time.as_nanos() as u64;
-        let peers_now = state.peers_in_range(from);
-        let delivered: Vec<PhoneId> =
-            flight.peers.into_iter().filter(|p| peers_now.contains(p)).collect();
-        if delivered.is_empty() {
+        let sent = || flight.to.iter().chain(&flight.peers);
+        let delivered = sent().filter(|peer| state.peer_in_range(from, **peer)).count();
+        if delivered == 0 {
             state.radio.failed += 1;
             return Err(LinkError::FieldLost);
         }
@@ -967,100 +944,16 @@ impl World {
         }
         state.radio.beams_delivered += 1;
         state.radio.bytes += bytes.len() as u64;
-        let now = self.clock.now();
-        state.trace(now, TraceEvent::Beam { from, bytes: bytes.len(), delivered: delivered.len() });
+        state.trace(now, TraceEvent::Beam { from, bytes: bytes.len(), delivered });
         self.obs_emit(now, || EventKind::PhysBeam {
             phone: from.as_u64(),
             bytes: bytes.len() as u64,
-            delivered: delivered.len() as u64,
+            delivered: delivered as u64,
         });
-        for peer in &delivered {
+        for peer in sent().filter(|peer| state.peer_in_range(from, **peer)) {
             state.emit(*peer, NfcEvent::BeamReceived { from, bytes: bytes.to_vec() });
         }
-        Ok(delivered.len())
-    }
-
-    /// Beams `bytes` from `from` to the specific peer `to`, modelling the
-    /// connection-oriented (LLCP-style) transport real NFC P2P stacks run
-    /// on top of the broadcast radio, blocking for the air time:
-    /// [`World::begin_beam_to`], a sleep, [`World::finish_beam_to`].
-    ///
-    /// # Errors
-    ///
-    /// * [`LinkError::UnknownDevice`] — either phone does not exist.
-    /// * [`LinkError::OutOfRange`] — `to` is not in beam range.
-    /// * [`LinkError::FieldLost`] — `to` moved away mid-transfer.
-    /// * [`LinkError::TransmissionError`] — noise corrupted the push.
-    pub fn beam_to(&self, from: PhoneId, to: PhoneId, bytes: &[u8]) -> Result<(), LinkError> {
-        let flight = self.begin_beam_to(from, to, bytes)?;
-        self.clock.sleep(flight.air_time);
-        self.finish_beam_to(from, to, bytes, flight)
-    }
-
-    /// Puts a directed push on the air without waiting for it; see
-    /// [`World::beam_to`] and [`World::begin_transceive`].
-    ///
-    /// # Errors
-    ///
-    /// [`LinkError::UnknownDevice`] or [`LinkError::OutOfRange`].
-    pub fn begin_beam_to(
-        &self,
-        from: PhoneId,
-        to: PhoneId,
-        bytes: &[u8],
-    ) -> Result<InFlight, LinkError> {
-        let mut state = self.state.lock();
-        state.radio.beams += 1;
-        if !state.phones.contains_key(&from) || !state.phones.contains_key(&to) {
-            return Err(LinkError::UnknownDevice);
-        }
-        if !state.peer_in_range(from, to) {
-            return Err(LinkError::OutOfRange);
-        }
-        let link = state.link.clone();
-        let fails = link.sample_failure(0.0, &mut state.rng);
-        Ok(self.in_flight(link.exchange_latency(bytes.len()), fails, Vec::new()))
-    }
-
-    /// Lands a push begun by [`World::begin_beam_to`] with the same
-    /// arguments: delivers it if `to` stayed in range.
-    ///
-    /// # Errors
-    ///
-    /// [`LinkError::FieldLost`] or [`LinkError::TransmissionError`].
-    pub fn finish_beam_to(
-        &self,
-        from: PhoneId,
-        to: PhoneId,
-        bytes: &[u8],
-        flight: InFlight,
-    ) -> Result<(), LinkError> {
-        let now = self.clock.now();
-        let mut state = self.state.lock();
-        state.radio.air_time_nanos += flight.air_time.as_nanos() as u64;
-        if !state.peer_in_range(from, to) {
-            state.radio.failed += 1;
-            return Err(LinkError::FieldLost);
-        }
-        if flight.fails {
-            state.radio.failed += 1;
-            return Err(LinkError::TransmissionError);
-        }
-        state.radio.beams_delivered += 1;
-        state.radio.bytes += bytes.len() as u64;
-        state.trace(now, TraceEvent::Beam { from, bytes: bytes.len(), delivered: 1 });
-        self.obs_emit(now, || EventKind::PhysBeam {
-            phone: from.as_u64(),
-            bytes: bytes.len() as u64,
-            delivered: 1,
-        });
-        state.emit(to, NfcEvent::BeamReceived { from, bytes: bytes.to_vec() });
-        Ok(())
-    }
-
-    /// Sleeps `d` on the world clock (convenience for scenarios/tests).
-    pub fn sleep(&self, d: Duration) {
-        self.clock.sleep(d);
+        Ok(delivered)
     }
 }
 
@@ -1068,10 +961,28 @@ impl World {
 mod tests {
     use super::*;
     use crate::clock::VirtualClock;
+    use crate::controller::NfcHandle;
     use crate::tag::{Type2Tag, Type4Tag};
 
     fn world() -> World {
         World::with_link(VirtualClock::shared(), LinkModel::instant(), 7)
+    }
+
+    fn transceive(
+        w: &World,
+        phone: PhoneId,
+        uid: TagUid,
+        command: &[u8],
+    ) -> Result<Vec<u8>, LinkError> {
+        NfcHandle::new(w.clone(), phone).transceive(uid, command)
+    }
+
+    fn beam(w: &World, from: PhoneId, bytes: &[u8]) -> Result<usize, LinkError> {
+        NfcHandle::new(w.clone(), from).beam(bytes)
+    }
+
+    fn beam_to(w: &World, from: PhoneId, to: PhoneId, bytes: &[u8]) -> Result<(), LinkError> {
+        NfcHandle::new(w.clone(), from).beam_to(to, bytes)
     }
 
     #[test]
@@ -1105,9 +1016,9 @@ mod tests {
         let w = world();
         let phone = w.add_phone("alice");
         let uid = w.add_tag(Box::new(Type2Tag::ntag213(TagUid::from_seed(3))));
-        assert_eq!(w.transceive(phone, uid, &[0x30, 3]).unwrap_err(), LinkError::OutOfRange);
+        assert_eq!(transceive(&w, phone, uid, &[0x30, 3]).unwrap_err(), LinkError::OutOfRange);
         w.tap_tag(uid, phone);
-        let resp = w.transceive(phone, uid, &[0x30, 3]).unwrap();
+        let resp = transceive(&w, phone, uid, &[0x30, 3]).unwrap();
         assert_eq!(resp[0], 0xE1);
     }
 
@@ -1133,7 +1044,7 @@ mod tests {
         let w = world();
         let phone = w.add_phone("alice");
         assert_eq!(
-            w.transceive(phone, TagUid::from_seed(99), &[0x30, 0]).unwrap_err(),
+            transceive(&w, phone, TagUid::from_seed(99), &[0x30, 0]).unwrap_err(),
             LinkError::UnknownDevice
         );
     }
@@ -1145,7 +1056,10 @@ mod tests {
         let phone = w.add_phone("alice");
         let uid = w.add_tag(Box::new(Type2Tag::ntag213(TagUid::from_seed(4))));
         w.tap_tag(uid, phone);
-        assert_eq!(w.transceive(phone, uid, &[0x30, 3]).unwrap_err(), LinkError::TransmissionError);
+        assert_eq!(
+            transceive(&w, phone, uid, &[0x30, 3]).unwrap_err(),
+            LinkError::TransmissionError
+        );
     }
 
     #[test]
@@ -1156,7 +1070,7 @@ mod tests {
         let uid = w.add_tag(Box::new(Type2Tag::ntag213(TagUid::from_seed(5))));
         w.tap_tag(uid, phone);
         let before = clock.now();
-        w.transceive(phone, uid, &[0x30, 3]).unwrap();
+        transceive(&w, phone, uid, &[0x30, 3]).unwrap();
         assert!(clock.now() > before);
     }
 
@@ -1168,10 +1082,10 @@ mod tests {
         let carol = w.add_phone("carol");
         let rx_bob = w.subscribe(bob);
         let rx_carol = w.subscribe(carol);
-        assert_eq!(w.beam(alice, b"hi").unwrap_err(), LinkError::NoPeerInRange);
+        assert_eq!(beam(&w, alice, b"hi").unwrap_err(), LinkError::NoPeerInRange);
         w.bring_phones_together(alice, bob);
         assert_eq!(rx_bob.try_recv().unwrap(), NfcEvent::PeerEntered { peer: alice });
-        assert_eq!(w.beam(alice, b"hi").unwrap(), 1);
+        assert_eq!(beam(&w, alice, b"hi").unwrap(), 1);
         assert_eq!(
             rx_bob.try_recv().unwrap(),
             NfcEvent::BeamReceived { from: alice, bytes: b"hi".to_vec() }
@@ -1189,17 +1103,17 @@ mod tests {
         let carol = w.add_phone("carol");
         let rx_bob = w.subscribe(bob);
         let rx_carol = w.subscribe(carol);
-        assert_eq!(w.beam_to(alice, bob, b"x").unwrap_err(), LinkError::OutOfRange);
+        assert_eq!(beam_to(&w, alice, bob, b"x").unwrap_err(), LinkError::OutOfRange);
         // Bring BOTH bob and carol next to alice; only bob must receive.
         w.bring_phones_together(alice, bob);
         w.bring_phones_together(alice, carol);
-        w.beam_to(alice, bob, b"for bob").unwrap();
+        beam_to(&w, alice, bob, b"for bob").unwrap();
         let got: Vec<NfcEvent> = rx_bob.try_iter().collect();
         assert!(got.contains(&NfcEvent::BeamReceived { from: alice, bytes: b"for bob".to_vec() }));
         assert!(rx_carol.try_iter().all(|e| !matches!(e, NfcEvent::BeamReceived { .. })));
         // Unknown device.
         assert_eq!(
-            w.beam_to(alice, PhoneId::from_u64(99), b"x").unwrap_err(),
+            beam_to(&w, alice, PhoneId::from_u64(99), b"x").unwrap_err(),
             LinkError::UnknownDevice
         );
     }
@@ -1214,11 +1128,11 @@ mod tests {
         let mut select = vec![0x00, 0xA4, 0x04, 0x00, 0x07];
         select.extend_from_slice(&crate::tag::type4::NDEF_AID);
         select.push(0x00);
-        assert_eq!(w.transceive(phone, uid, &select).unwrap(), vec![0x90, 0x00]);
+        assert_eq!(transceive(&w, phone, uid, &select).unwrap(), vec![0x90, 0x00]);
         // Losing the field resets selection: READ BINARY now not allowed.
         w.remove_tag_from_field(uid);
         w.tap_tag(uid, phone);
-        let resp = w.transceive(phone, uid, &[0x00, 0xB0, 0x00, 0x00, 0x02]).unwrap();
+        let resp = transceive(&w, phone, uid, &[0x00, 0xB0, 0x00, 0x00, 0x02]).unwrap();
         assert_eq!(resp, vec![0x69, 0x86]);
     }
 
@@ -1250,21 +1164,21 @@ mod tests {
         let uid = w.add_tag(Box::new(Type2Tag::ntag213(TagUid::from_seed(30))));
         assert_eq!(w.radio_stats(), crate::world::RadioStats::default());
         // Out-of-range exchange: counted and rejected.
-        assert!(w.transceive(phone, uid, &[0x30, 3]).is_err());
+        assert!(transceive(&w, phone, uid, &[0x30, 3]).is_err());
         let stats = w.radio_stats();
         assert_eq!(stats.exchanges, 1);
         assert_eq!(stats.rejected, 1);
         // In-range exchange: bytes move.
         w.tap_tag(uid, phone);
-        w.transceive(phone, uid, &[0x30, 3]).unwrap();
+        transceive(&w, phone, uid, &[0x30, 3]).unwrap();
         let stats = w.radio_stats();
         assert_eq!(stats.exchanges, 2);
         assert_eq!(stats.bytes, 2 + 16);
         // Beam accounting.
         let bob = w.add_phone("bob");
-        assert!(w.beam(phone, b"xy").is_err());
+        assert!(beam(&w, phone, b"xy").is_err());
         w.bring_phones_together(phone, bob);
-        w.beam(phone, b"xy").unwrap();
+        beam(&w, phone, b"xy").unwrap();
         let stats = w.radio_stats();
         assert_eq!(stats.beams, 2);
         assert_eq!(stats.beams_delivered, 1);
@@ -1279,7 +1193,7 @@ mod tests {
         let phone = w.add_phone("alice");
         let uid = w.add_tag(Box::new(Type2Tag::ntag213(TagUid::from_seed(40))));
         w.tap_tag(uid, phone);
-        w.transceive(phone, uid, &[0x30, 3]).unwrap();
+        transceive(&w, phone, uid, &[0x30, 3]).unwrap();
         w.remove_tag_from_field(uid);
         let (entries, dropped) = w.trace_snapshot();
         assert_eq!(dropped, 0);
@@ -1308,10 +1222,10 @@ mod tests {
         let bob = w.add_phone("bob");
         let uid = w.add_tag(Box::new(Type2Tag::ntag213(TagUid::from_seed(41))));
         w.tap_tag(uid, phone);
-        w.transceive(phone, uid, &[0x30, 3]).unwrap();
+        transceive(&w, phone, uid, &[0x30, 3]).unwrap();
         w.remove_tag_from_field(uid);
         w.bring_phones_together(phone, bob);
-        w.beam(phone, b"xy").unwrap();
+        beam(&w, phone, b"xy").unwrap();
         w.separate_phone(bob);
 
         let kinds: Vec<&'static str> =

@@ -205,12 +205,13 @@ fn same_seed_same_world_history() {
                 let phone = world.add_phone("det");
                 let uid = world.add_tag(Box::new(Type2Tag::ntag213(TagUid::from_seed(1))));
                 world.tap_tag(uid, phone);
+                let nfc = morena_nfc_sim::controller::NfcHandle::new(world.clone(), phone);
                 let mut outcomes = Vec::new();
                 for &write in &ops {
                     let result = if write {
-                        world.transceive(phone, uid, &[0xA2, 5, 1, 2, 3, 4]).is_ok()
+                        nfc.transceive(uid, &[0xA2, 5, 1, 2, 3, 4]).is_ok()
                     } else {
-                        world.transceive(phone, uid, &[0x30, 4]).is_ok()
+                        nfc.transceive(uid, &[0x30, 4]).is_ok()
                     };
                     outcomes.push(result);
                 }

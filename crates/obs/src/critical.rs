@@ -1,6 +1,6 @@
 //! Per-trace critical-path analysis over causal traces.
 //!
-//! [`crate::correlate`] attributes *one operation's* latency into
+//! [`crate::correlate()`] attributes *one operation's* latency into
 //! out-of-range wait, exchange time, and queue delay. A causal trace
 //! ([`crate::trace`]) strings many such operations together — the
 //! discovery sighting that minted a reference, the beam that carried a

@@ -14,7 +14,7 @@
 //!   bridged from `nfc-sim`'s trace plane: what was *actually* in radio
 //!   range, which exchanges crossed the air, which beams were delivered.
 //!
-//! [`correlate`](crate::correlate) joins the two families by
+//! [`correlate`](crate::correlate()) joins the two families by
 //! `(phone, target)` to attribute operation latency.
 
 use crate::json::ObjectWriter;
@@ -85,7 +85,7 @@ pub enum OpOutcome {
     Cancelled,
     /// The operation had not reached a terminal state when the event
     /// stream ended. Never emitted in an [`EventKind::OpCompleted`];
-    /// only synthesized by [`correlate`](crate::correlate) for ops
+    /// only synthesized by [`correlate`](crate::correlate()) for ops
     /// still in flight at the analysis horizon.
     Pending,
 }

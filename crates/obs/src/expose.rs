@@ -64,7 +64,7 @@ fn seconds(nanos: u64) -> f64 {
 /// cumulative `_bucket{le="…"}` series in seconds with `+Inf`, `_sum`,
 /// and `_count`. The inspector contributes `morena_health` (0 healthy /
 /// 1 degraded / 2 stalled — see
-/// [`health_level`](crate::timeseries::health_level)),
+/// [`crate::timeseries::health_level`]),
 /// `morena_health_findings`, `morena_mem_bytes`,
 /// `morena_queue_depth`, and `morena_loops`.
 pub fn render_openmetrics(

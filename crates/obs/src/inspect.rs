@@ -26,7 +26,7 @@
 //! The [`Watchdog`] turns one [`InspectorSnapshot`] into a
 //! [`HealthReport`]: a ranked list of [`Finding`]s, each with the rule
 //! that fired and the evidence behind it, rolled up into an overall
-//! [`Health`]. [`HealthReport::render_top`] renders the same data as a
+//! [`Health`]. [`render_top`] renders the same data as a
 //! "morena-top" text table for terminals.
 //!
 //! # Examples
@@ -729,7 +729,7 @@ pub fn render_top(snapshot: &InspectorSnapshot, report: &HealthReport) -> String
 }
 
 /// [`render_top`] with history from a sampler's
-/// [`SeriesStore`](crate::timeseries::SeriesStore): the loop table
+/// [`crate::timeseries::SeriesStore`]: the loop table
 /// gains a `TREND` sparkline column (each loop's recent queue depth),
 /// and the non-loop series are listed with sparklines and latest
 /// values below the component summaries.

@@ -25,7 +25,7 @@
 //!   runs), [`NullSink`], and [`TeeSink`].
 //! * [`MetricsRegistry`] — counters, gauges, and fixed-bucket latency
 //!   histograms with p50/p95/p99 snapshots, keyed by static names.
-//! * [`correlate`] — joins op events with physical events to attribute
+//! * [`correlate()`] — joins op events with physical events to attribute
 //!   each operation's latency into *out-of-range wait* vs *exchange
 //!   time* vs *queue delay*, summing exactly to the op's total.
 //! * [`trace`] — causal [`TraceContext`]s minted at application-visible

@@ -12,7 +12,7 @@
 //! * an [`InspectorSnapshot`](crate::inspect::InspectorSnapshot) —
 //!   aggregate queue depth, live loop count, total `mem_bytes`, and
 //!   (for a bounded number of loops) per-loop queue depths;
-//! * the [`Watchdog`](crate::Watchdog)'s verdict, recorded as a numeric
+//! * the [`crate::Watchdog`]'s verdict, recorded as a numeric
 //!   health series (0 = healthy, 1 = degraded, 2 = stalled).
 //!
 //! Every series lives in a fixed-capacity [`SeriesRing`]; memory is
@@ -21,7 +21,7 @@
 //! `obs.sampler.ticks`) so the telemetry plane's overhead is itself a
 //! gated bench metric.
 //!
-//! When a [`FlightRecorder`](crate::flight::FlightRecorder) is wired
+//! When a [`crate::flight::FlightRecorder`] is wired
 //! into the [`SamplerConfig`], the sampler feeds it the health verdict
 //! each tick and dumps the recorder to disk on the first transition to
 //! [`Health::Stalled`] — the always-on crash/stall forensics loop.

@@ -197,7 +197,7 @@ fn roaming_tags_converge(policy: ExecutionPolicy, seed: u64) {
     // Give stragglers one final generous window each.
     for (uid, _) in &references {
         world.tap_tag(*uid, phone);
-        world.sleep(Duration::from_millis(50));
+        world.clock().sleep(Duration::from_millis(50));
         std::thread::sleep(Duration::from_millis(30));
         world.remove_tag_from_field(*uid);
     }
