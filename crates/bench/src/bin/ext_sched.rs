@@ -315,8 +315,8 @@ fn main() {
         &rows,
     );
     println!(
-        "\nthreads = live morena-* threads mid-run: the worker pool plus the\n\
-         event router, flat as refs grow."
+        "\nthreads = live morena-* threads mid-run: the worker pool and nothing\n\
+         else, flat as refs grow (gated as threads_over_workers)."
     );
     for r in &results {
         println!("sched-json: {}", r.to_json());
@@ -331,6 +331,8 @@ fn main() {
     for r in &results {
         report.metric(&format!("ops_per_sec@{}_sharded", r.size), r.ops_per_sec());
         report.metric(&format!("allocs_per_op@{}_sharded", r.size), r.allocs_per_op());
+        let over = r.threads.saturating_sub(r.workers) as f64;
+        report.metric(&format!("threads_over_workers@{}_sharded", r.size), over);
     }
 
     // Phase 2: the futures hot loop, no world attached.

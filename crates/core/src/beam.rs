@@ -269,13 +269,15 @@ impl<C: TagDataConverter> Beamer<C> {
 }
 
 /// Typed reception callbacks for beamed values. Methods run on the main
-/// thread.
+/// thread, except `check_condition`.
 pub trait BeamListener<C: TagDataConverter>: Send + Sync + 'static {
     /// A value of this receiver's type arrived over Beam.
     fn on_beam_received(&self, value: C::Value);
 
     /// Fine-grained filter (§3.4) applied before
     /// [`on_beam_received`](BeamListener::on_beam_received).
+    /// It runs on the pool worker that dispatches the push, so it must
+    /// not block on a middleware operation, which may need that worker.
     fn check_condition(&self, value: &C::Value) -> bool {
         let _ = value;
         true

@@ -9,9 +9,10 @@
 //! its own main thread), letting RFID logic live outside the UI.
 //!
 //! The context also owns the middleware's shared machinery: the sharded
-//! worker pool that polls far-reference event loops (sized by
-//! [`ExecutionPolicy`]), and the single event-router thread that fans
-//! controller events out to references.
+//! worker pool (sized by [`ExecutionPolicy`]), whose workers are the
+//! context's only `morena-*` threads, and the event router, a task on
+//! that pool that fans controller events out to references and
+//! discoverers.
 
 use std::sync::Arc;
 
@@ -72,19 +73,7 @@ impl MorenaContext {
         exec_policy: ExecutionPolicy,
         policy: Policy,
     ) -> MorenaContext {
-        let nfc = ctx.nfc().clone();
-        let clock = Arc::clone(nfc.world().clock());
-        let exec = Arc::new(Scheduler::new(exec_policy, Arc::clone(&clock), nfc.world().obs()));
-        let router = Arc::new(EventRouter::spawn(&nfc));
-        MorenaContext {
-            nfc,
-            handler: ctx.handler(),
-            clock,
-            exec,
-            router,
-            policy: Arc::new(Mutex::new(policy)),
-            _own_main: None,
-        }
+        MorenaContext::build(ctx.nfc().clone(), ctx.handler(), None, exec_policy, policy)
     }
 
     /// Runs MORENA without any activity (e.g. a background service) with
@@ -110,17 +99,28 @@ impl MorenaContext {
     ) -> MorenaContext {
         let main = Arc::new(MainThread::spawn());
         let nfc = NfcHandle::new(world.clone(), phone);
-        let clock = Arc::clone(world.clock());
-        let exec = Arc::new(Scheduler::new(exec_policy, Arc::clone(&clock), world.obs()));
-        let router = Arc::new(EventRouter::spawn(&nfc));
+        MorenaContext::build(nfc, main.handler(), Some(main), exec_policy, policy)
+    }
+
+    /// Starts the worker pool and places the event router on it.
+    fn build(
+        nfc: NfcHandle,
+        handler: Handler,
+        own_main: Option<Arc<MainThread>>,
+        exec_policy: ExecutionPolicy,
+        policy: Policy,
+    ) -> MorenaContext {
+        let clock = Arc::clone(nfc.world().clock());
+        let exec = Arc::new(Scheduler::new(exec_policy, Arc::clone(&clock), nfc.world().obs()));
+        let router = EventRouter::spawn(&nfc, &exec);
         MorenaContext {
             nfc,
-            handler: main.handler(),
+            handler,
             clock,
             exec,
             router,
             policy: Arc::new(Mutex::new(policy)),
-            _own_main: Some(main),
+            _own_main: own_main,
         }
     }
 
@@ -205,7 +205,7 @@ impl MorenaContext {
     }
 
     /// The context's shared event dispatcher.
-    pub(crate) fn router(&self) -> &EventRouter {
+    pub(crate) fn router(&self) -> &Arc<EventRouter> {
         &self.router
     }
 }

@@ -17,19 +17,20 @@
 //!   freshly cached value) before any callback fires.
 //!
 //! Each sighting needs a pre-read: discovery must learn what is on a tag
-//! before it can tell whether the tag is relevant. A discoverer's thread
-//! only receives field events and does no I/O. For each sighting it
-//! starts a short-lived task on a shard of the context's pool, which
-//! reads the tag over the same non-blocking radio path the event loops
-//! use and waits out air time on the shard's timer heap. So a burst of
-//! taps keeps all its pre-reads on the air at once instead of queueing
-//! them behind one another. One pre-read per tag runs at a time; a tag
+//! before it can tell whether the tag is relevant. A discoverer has no
+//! thread: it registers a route on the context's event router, which
+//! hands it each field event on a worker of the context's pool, and it
+//! sees only sightings from after it was created. For each sighting the
+//! route starts a short-lived task on a shard of that pool, which reads
+//! the tag over the same non-blocking radio path the event loops use and
+//! waits out air time on the shard's timer heap. So a burst of taps
+//! keeps all its pre-reads on the air at once instead of queueing them
+//! behind one another. One pre-read per tag runs at a time; a tag
 //! sighted again while its pre-read runs is read once more after it.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, Weak};
 
 use morena_ndef::NdefMessage;
@@ -44,6 +45,7 @@ use morena_obs::{trace, EventKind, MemFootprint, TraceContext};
 use crate::context::MorenaContext;
 use crate::convert::TagDataConverter;
 use crate::policy::Policy;
+use crate::router::RouteGuard;
 use crate::sched::{LoopPoll, PollTask};
 use crate::tagref::TagReference;
 
@@ -91,12 +93,8 @@ struct DiscovererInner<C: TagDataConverter> {
     /// that arrived meanwhile, if any (see `handle_entered`).
     prereads: Mutex<HashMap<TagUid, Option<Option<TraceContext>>>>,
     stop: AtomicBool,
-}
-
-impl<C: TagDataConverter> Drop for DiscovererInner<C> {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-    }
+    /// The route on the context's router; `stop()` drops it.
+    route: Mutex<Option<RouteGuard>>,
 }
 
 impl<C: TagDataConverter> MemFootprint for DiscovererInner<C> {
@@ -136,12 +134,11 @@ impl<C: TagDataConverter> SnapshotProvider for DiscovererInner<C> {
 /// Watches the phone's field for tags carrying this discoverer's data
 /// type and hands out unique [`TagReference`]s for them.
 ///
-/// Dropping the last handle stops discovery: no callback fires for any
-/// later sighting or for a pre-read still on the air, and the discovery
-/// thread exits within one
-/// [`discovery_cadence`](Policy::discovery_cadence). References the
-/// application still holds keep working until [`TagReference::close`]
-/// (reclaiming references is the application's responsibility, §3.2).
+/// Dropping the last handle stops discovery at once: its route leaves the
+/// context's router, and no callback fires for any later sighting or for
+/// a pre-read still on the air. References the application still holds
+/// keep working until [`TagReference::close`] (reclaiming references is
+/// the application's responsibility, §3.2).
 pub struct TagDiscoverer<C: TagDataConverter> {
     inner: Arc<DiscovererInner<C>>,
 }
@@ -163,7 +160,7 @@ impl<C: TagDataConverter> std::fmt::Debug for TagDiscoverer<C> {
 
 impl<C: TagDataConverter> TagDiscoverer<C> {
     /// Starts discovery inheriting the context's default [`Policy`] for
-    /// its own cadence and for the references it creates.
+    /// its traces and for the references it creates.
     pub fn new(
         ctx: &MorenaContext,
         converter: Arc<C>,
@@ -173,9 +170,8 @@ impl<C: TagDataConverter> TagDiscoverer<C> {
     }
 
     /// Starts discovery pinned to an explicit [`Policy`]: its
-    /// [`discovery_cadence`](Policy::discovery_cadence) drives how often
-    /// the discovery thread wakes when no events arrive, and created
-    /// references inherit the whole policy.
+    /// [`trace_sample`](Policy::trace_sample) rate applies to sightings,
+    /// and created references inherit the whole policy.
     pub fn with_policy(
         ctx: &MorenaContext,
         converter: Arc<C>,
@@ -190,20 +186,23 @@ impl<C: TagDataConverter> TagDiscoverer<C> {
             references: Mutex::new(HashMap::new()),
             prereads: Mutex::new(HashMap::new()),
             stop: AtomicBool::new(false),
+            route: Mutex::new(None),
         });
         inner.ctx.nfc().world().obs().inspector().register(
             format!("discovery-{}-{}", inner.ctx.phone().as_u64(), inner.converter.mime_type()),
             Arc::downgrade(&inner) as std::sync::Weak<dyn SnapshotProvider>,
         );
-        // A private subscription created *here* — so the discoverer can
-        // never observe a sighting from before it existed. Routing
-        // discovery through the context's shared router would replay any
-        // event buffered in the router's (older) subscription to this
-        // freshly registered consumer; references tolerate that (their
-        // connectivity routes are idempotent), discovery callbacks do
-        // not.
-        let events = ctx.nfc().events();
-        spawn_discovery_thread(&inner, events);
+        // Held weakly: dropping the last handle drops the discoverer and
+        // its route. Tag loss is left to each reference's own route.
+        let discoverer = Arc::downgrade(&inner);
+        let route = ctx.router().register(move |event| {
+            let NfcEvent::TagEntered { uid, tech } = event else { return };
+            let Some(inner) = discoverer.upgrade() else { return };
+            if !inner.stop.load(Ordering::Acquire) {
+                handle_entered(&inner, *uid, *tech);
+            }
+        });
+        *inner.route.lock() = Some(route);
         TagDiscoverer { inner }
     }
 
@@ -236,53 +235,14 @@ impl<C: TagDataConverter> TagDiscoverer<C> {
     }
 
     /// Stops discovery (references stay alive). No callback is delivered
-    /// for any sighting after this returns: the discovery thread checks
-    /// the flag before handling each event, and a pre-read still on the
-    /// air checks it at its next poll and again before delivering, then
-    /// ends. The idle thread itself parks until its next event or
-    /// cadence heartbeat before exiting, which is harmless — it delivers
-    /// nothing once stopped.
+    /// for any sighting after this returns: the route leaves the router
+    /// here, a dispatch already under way checks the flag before
+    /// handling the event, and a pre-read still on the air checks it at
+    /// its next poll and again before delivering, then ends.
     pub fn stop(&self) {
         self.inner.stop.store(true, Ordering::Release);
+        self.inner.route.lock().take();
     }
-}
-
-fn spawn_discovery_thread<C: TagDataConverter>(
-    inner: &Arc<DiscovererInner<C>>,
-    events: Receiver<NfcEvent>,
-) {
-    // The thread holds the discoverer weakly, so dropping the last
-    // handle drops the discoverer (and the references it minted); the
-    // thread notices at its next event or heartbeat and exits.
-    let discoverer = Arc::downgrade(inner);
-    let cadence = inner.policy.discovery_cadence;
-    let wakeups = inner.ctx.nfc().world().obs().metrics().counter("discovery.idle_wakeups");
-    std::thread::Builder::new()
-        .name(format!("morena-discovery-{}", inner.converter.mime_type()))
-        .spawn(move || loop {
-            // Event-driven with a policy-tuned idle heartbeat: the old
-            // hardcoded 20 ms `recv_timeout` woke this thread 50×/s per
-            // discoverer even in a completely idle field. Now a wake
-            // with no sighting happens only on the cadence heartbeat
-            // (re-checking for a stopped or dropped discoverer), and the
-            // policy decides how often that is.
-            let received = events.recv_timeout(cadence);
-            // Checked per event so a stop or drop while the thread slept
-            // suppresses every later sighting.
-            let Some(inner) = discoverer.upgrade() else { break };
-            if inner.stop.load(Ordering::Acquire) {
-                break;
-            }
-            match received {
-                Ok(NfcEvent::TagEntered { uid, tech }) => handle_entered(&inner, uid, tech),
-                // Tag loss is handled by each reference's own
-                // connectivity route; discovery only acts on entries.
-                Ok(_) => {}
-                Err(RecvTimeoutError::Timeout) => wakeups.inc(),
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        })
-        .expect("spawn discovery thread");
 }
 
 /// Roots a sighting's causal trace and starts its pre-read on the pool.
@@ -331,7 +291,7 @@ fn handle_entered<C: TagDataConverter>(
     if running {
         return;
     }
-    inner.ctx.execution().spawn(Arc::new(PreRead {
+    inner.ctx.execution().place().wake(Arc::new(PreRead {
         discoverer: Arc::downgrade(inner),
         uid,
         tech,
@@ -747,31 +707,23 @@ mod tests {
     }
 
     #[test]
-    fn stop_is_prompt_even_under_a_long_cadence() {
+    fn stop_unregisters_the_route_at_once() {
         let (world, ctx) = setup();
         let uid = tag_with(&world, &ctx, 20, Some("x"));
         let (tx, rx) = channel();
-        let disco = TagDiscoverer::with_policy(
-            &ctx,
-            Arc::new(StringConverter::plain_text()),
-            Arc::new(Recording { tx, condition: Box::new(|_| true) }),
-            Policy::new().with_discovery_cadence(Duration::from_secs(3600)),
-        );
-        // Events still arrive instantly — the cadence only paces idle
-        // wakeups, not event handling.
+        let disco = discoverer(&ctx, tx);
         world.tap_tag(uid, ctx.phone());
         assert!(matches!(
             rx.recv_timeout(Duration::from_secs(10)).unwrap(),
             Event::Detected(u, _) if u == uid
         ));
-        // And stop does not have to wait out the hour-long heartbeat.
-        let started = std::time::Instant::now();
+        let routes = format!("{:?}", ctx.router());
         disco.stop();
-        std::thread::sleep(Duration::from_millis(60));
+        // The route is gone when `stop` returns; no heartbeat to wait out.
+        assert_ne!(format!("{:?}", ctx.router()), routes);
         world.remove_tag_from_field(uid);
         world.tap_tag(uid, ctx.phone());
         assert!(rx.recv_timeout(Duration::from_millis(200)).is_err());
-        assert!(started.elapsed() < Duration::from_secs(30));
     }
 
     #[test]
@@ -781,18 +733,11 @@ mod tests {
         let (tx, rx) = channel();
         let listener = Arc::new(Recording { tx, condition: Box::new(|_| true) });
         let freed = Arc::downgrade(&listener);
-        let cadence = Duration::from_millis(20);
-        let disco = TagDiscoverer::with_policy(
-            &ctx,
-            Arc::new(StringConverter::plain_text()),
-            listener,
-            Policy::new().with_discovery_cadence(cadence),
-        );
+        let disco = TagDiscoverer::new(&ctx, Arc::new(StringConverter::plain_text()), listener);
         drop(disco);
-        std::thread::sleep(cadence * 3);
+        assert!(freed.upgrade().is_none(), "the router kept the discoverer alive");
         world.tap_tag(uid, ctx.phone());
         assert!(rx.recv_timeout(Duration::from_millis(200)).is_err());
-        assert!(freed.upgrade().is_none(), "the discovery thread kept the discoverer alive");
     }
 
     #[test]
@@ -802,7 +747,6 @@ mod tests {
         let (tx, rx) = channel();
         let disco = discoverer(&ctx, tx);
         disco.stop();
-        std::thread::sleep(Duration::from_millis(60));
         world.tap_tag(uid, ctx.phone());
         assert!(rx.recv_timeout(Duration::from_millis(200)).is_err());
     }

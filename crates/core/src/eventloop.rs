@@ -616,16 +616,19 @@ impl Shared {
         // An attempt waiting on the air owns the loop until it ends, as
         // if it still ran inside one poll: no timeout, cancel sweep,
         // stop drain or coalescing decision is taken meanwhile.
+        // An early wake (a submission, a connectivity event) arms no
+        // timer: the poll that set `wake` already armed it.
         let in_flight = self.poller.lock().in_flight.take();
         if let Some(mut attempt) = in_flight {
-            if self.clock.now() >= attempt.wake {
+            let early = self.clock.now() < attempt.wake;
+            if !early {
                 if let Some(outcome) = self.run(&mut attempt) {
                     return self.conclude(*attempt, outcome);
                 }
             }
             let wake = attempt.wake;
             self.poller.lock().in_flight = Some(attempt);
-            return LoopPoll::RunnableAt(wake);
+            return if early { LoopPoll::Park } else { LoopPoll::RunnableAt(wake) };
         }
         if self.stopped.load(Ordering::Acquire) {
             self.drain_all();

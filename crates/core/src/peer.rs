@@ -251,13 +251,16 @@ impl<C: TagDataConverter> PeerReference<C> {
     }
 }
 
-/// Typed reception of directed messages; methods run on the main thread.
+/// Typed reception of directed messages; methods run on the main thread,
+/// except `check_condition`.
 pub trait PeerListener<C: TagDataConverter>: Send + Sync + 'static {
     /// A value arrived from `from`.
     fn on_message(&self, from: PhoneId, value: C::Value);
 
     /// Fine-grained filter applied before
     /// [`on_message`](PeerListener::on_message).
+    /// It runs on the pool worker that dispatches the message, so it must
+    /// not block on a middleware operation, which may need that worker.
     fn check_condition(&self, from: PhoneId, value: &C::Value) -> bool {
         let _ = (from, value);
         true

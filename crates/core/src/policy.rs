@@ -1,7 +1,7 @@
 //! The declarative distribution-policy layer (RAFDA's thesis applied to
 //! MORENA): every tuning knob that is *distribution policy* rather than
 //! application logic — retry cadence, deadline budgets, per-operation
-//! timeouts, cache staleness, lease durations, discovery cadence, and
+//! timeouts, cache staleness, lease durations, trace sampling, and
 //! write coalescing — lifted out of the core's hardcoded constants into
 //! one runtime-configurable [`Policy`] object.
 //!
@@ -266,11 +266,6 @@ pub struct Policy {
     /// Default lease duration for
     /// [`LeaseManager::acquire_default`](crate::lease::LeaseManager::acquire_default).
     pub lease_ttl: Duration,
-    /// How often an otherwise-idle discovery thread wakes for
-    /// housekeeping (stop-flag re-check). Tag events and explicit stops
-    /// interrupt the wait immediately, so this cadence bounds idle CPU,
-    /// not responsiveness.
-    pub discovery_cadence: Duration,
     /// Collapse queued writes to the same tag region into one exchange
     /// at flush time (see the module docs for the exact semantics).
     /// Off by default: per-write exchanges are the paper's observable
@@ -299,7 +294,6 @@ impl Default for Policy {
             },
             cache_ttl: None,
             lease_ttl: Duration::from_secs(30),
-            discovery_cadence: Duration::from_millis(200),
             coalesce_writes: false,
             trace_sample: SampleRate::always(),
         }
@@ -346,12 +340,6 @@ impl Policy {
     /// Sets the default lease duration.
     pub fn with_lease_ttl(mut self, ttl: Duration) -> Policy {
         self.lease_ttl = ttl;
-        self
-    }
-
-    /// Sets the idle discovery housekeeping cadence.
-    pub fn with_discovery_cadence(mut self, cadence: Duration) -> Policy {
-        self.discovery_cadence = cadence;
         self
     }
 

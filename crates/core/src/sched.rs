@@ -23,8 +23,9 @@
 //!   clocks drive them like any other sleeper. A poll never waits on the
 //!   radio, so one worker keeps any number of its loops' exchanges on
 //!   the air at once;
-//! * a short-lived task (discovery's pre-read) is placed on a shard for
-//!   as long as it runs, without being counted as a pinned loop.
+//! * a task that is not a loop (the context's event router, discovery's
+//!   short-lived pre-reads) is placed on a shard without being counted
+//!   as a pinned loop.
 //!
 //! Scheduler health is observable through the `scheduler.*` metrics:
 //! `scheduler.polls` / `scheduler.parks` / `scheduler.wakeups` /
@@ -228,8 +229,8 @@ impl Ord for Timer {
 pub(crate) struct Scheduler {
     shards: Vec<Arc<Shard>>,
     next_shard: AtomicUsize,
-    /// Round-robin cursor for short-lived tasks, apart from `next_shard`
-    /// so they do not shift where loops are pinned.
+    /// Round-robin cursor for tasks that are not loops, apart from
+    /// `next_shard` so they do not shift where loops are pinned.
     next_task: AtomicUsize,
     shutdown: Arc<AtomicBool>,
 }
@@ -287,13 +288,12 @@ impl Scheduler {
         Arc::clone(&self.shards[i])
     }
 
-    /// Places a short-lived task on a shard (round-robin) and wakes it.
-    /// Unlike [`Scheduler::assign`] this pins nothing for life: `owned`
-    /// keeps counting loops, and the task leaves the pool when it parks
-    /// with nothing else holding it.
-    pub(crate) fn spawn(&self, task: Arc<dyn PollTask>) {
+    /// Picks a shard (round-robin) for a task that is not a loop, such as
+    /// the router or a short-lived task that leaves the pool when it
+    /// parks. Unlike [`Scheduler::assign`] this counts nothing.
+    pub(crate) fn place(&self) -> Arc<Shard> {
         let i = self.next_task.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        self.shards[i].wake(task);
+        Arc::clone(&self.shards[i])
     }
 
     /// The policy this pool runs, with the worker count as clamped.

@@ -10,10 +10,10 @@
 //! proximity change (a tap, a tag pulled away, two phones brought
 //! together) synchronously produces [`NfcEvent`]s on the affected phones'
 //! subscriptions — the simulation-level equivalent of the discovery
-//! interrupts a real NFC controller raises.
+//! interrupts a real NFC controller raises ([`World::add_sink`]).
 
 use std::collections::HashMap;
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -96,8 +96,11 @@ struct TagSlot {
 struct PhoneSlot {
     name: String,
     position: Point,
-    subscribers: Vec<Sender<NfcEvent>>,
+    sinks: Vec<Sink>,
 }
+
+/// A subscription to one phone's feed (see [`World::add_sink`]).
+type Sink = Box<dyn FnMut(&NfcEvent) -> bool + Send>;
 
 /// Aggregate radio activity of a world — the simulation-side ground
 /// truth experiments use to report how much physical work an approach
@@ -163,13 +166,10 @@ impl WorldState {
         }
     }
 
-    fn emit(&self, phone: PhoneId, event: NfcEvent) {
-        if let Some(slot) = self.phones.get(&phone) {
-            for sub in &slot.subscribers {
-                // A dropped receiver is fine; stale subscriptions are pruned
-                // lazily on subscribe.
-                let _ = sub.send(event.clone());
-            }
+    fn emit(&mut self, phone: PhoneId, event: NfcEvent) {
+        if let Some(slot) = self.phones.get_mut(&phone) {
+            // A sink whose consumer is gone says so, and goes right here.
+            slot.sinks.retain_mut(|sink| sink(&event));
         }
     }
 
@@ -320,6 +320,7 @@ impl std::fmt::Debug for World {
         f.debug_struct("World")
             .field("tags", &state.tags.len())
             .field("phones", &state.phones.len())
+            .field("sinks", &state.phones.values().map(|p| p.sinks.len()).sum::<usize>())
             .finish()
     }
 }
@@ -456,9 +457,7 @@ impl World {
         state.next_phone += 1;
         // Spread fresh phones out so they are not accidentally in range.
         let position = Point::new(1000.0 * (id.0 as f64 + 1.0), 0.0);
-        state
-            .phones
-            .insert(id, PhoneSlot { name: name.to_owned(), position, subscribers: Vec::new() });
+        state.phones.insert(id, PhoneSlot { name: name.to_owned(), position, sinks: Vec::new() });
         id
     }
 
@@ -503,13 +502,20 @@ impl World {
         Some(slot.emulator)
     }
 
-    /// Subscribes to a phone's NFC event feed.
+    /// Subscribes to a phone's NFC event feed over a channel. Dropping
+    /// the receiver ends the subscription at the next event.
     pub fn subscribe(&self, phone: PhoneId) -> Receiver<NfcEvent> {
         let (tx, rx) = channel();
-        let mut state = self.state.lock();
-        let slot = state.phones.get_mut(&phone).expect("unknown phone");
-        slot.subscribers.push(tx);
+        self.add_sink(phone, move |event| tx.send(event.clone()).is_ok());
         rx
+    }
+
+    /// Adds `sink` to a phone's event feed. The world calls it for every
+    /// later event, in order and under the world's lock, and drops it the
+    /// first time it returns `false`. So a sink only hands the event on
+    /// (queue it, wake a task) and never calls back into the world.
+    pub fn add_sink(&self, phone: PhoneId, sink: impl FnMut(&NfcEvent) -> bool + Send + 'static) {
+        self.state.lock().phones.get_mut(&phone).expect("unknown phone").sinks.push(Box::new(sink));
     }
 
     /// Runs `f` with mutable access to a tag's emulator — test/debug
@@ -932,8 +938,10 @@ impl World {
         let now = self.clock.now();
         let mut state = self.state.lock();
         state.radio.air_time_nanos += flight.air_time.as_nanos() as u64;
-        let sent = || flight.to.iter().chain(&flight.peers);
-        let delivered = sent().filter(|peer| state.peer_in_range(from, **peer)).count();
+        let sent = flight.to.iter().chain(&flight.peers);
+        let reached: Vec<PhoneId> =
+            sent.filter(|peer| state.peer_in_range(from, **peer)).copied().collect();
+        let delivered = reached.len();
         if delivered == 0 {
             state.radio.failed += 1;
             return Err(LinkError::FieldLost);
@@ -950,8 +958,8 @@ impl World {
             bytes: bytes.len() as u64,
             delivered: delivered as u64,
         });
-        for peer in sent().filter(|peer| state.peer_in_range(from, **peer)) {
-            state.emit(*peer, NfcEvent::BeamReceived { from, bytes: bytes.to_vec() });
+        for peer in reached {
+            state.emit(peer, NfcEvent::BeamReceived { from, bytes: bytes.to_vec() });
         }
         Ok(delivered)
     }
@@ -1147,6 +1155,37 @@ mod tests {
         assert_eq!(emulator.uid(), uid);
         assert_eq!(rx.try_recv().unwrap(), NfcEvent::TagLeft { uid });
         assert!(w.take_tag(uid).is_none());
+    }
+
+    /// The world's event subscriptions, as its `Debug` output counts them.
+    fn sinks(w: &World) -> usize {
+        format!("{w:?}").split("sinks: ").nth(1).unwrap().trim_end_matches(" }").parse().unwrap()
+    }
+
+    #[test]
+    fn a_dropped_subscription_is_pruned_at_the_next_event() {
+        let w = world();
+        let phone = w.add_phone("alice");
+        let uid = w.add_tag(Box::new(Type2Tag::ntag213(TagUid::from_seed(8))));
+        let kept = w.subscribe(phone);
+        let dropped = w.subscribe(phone);
+        assert_eq!(sinks(&w), 2);
+        drop(dropped);
+        // Nothing prunes it before an event tries to reach it.
+        assert_eq!(sinks(&w), 2);
+        w.tap_tag(uid, phone);
+        assert_eq!(sinks(&w), 1, "the dropped receiver's sink must go");
+        assert_eq!(kept.try_recv().unwrap(), NfcEvent::TagEntered { uid, tech: TagTech::Type2 });
+        // A sink that declines sees the event that ended it, and no more.
+        let (tx, seen) = channel();
+        w.add_sink(phone, move |event| {
+            tx.send(event.clone()).unwrap();
+            false
+        });
+        w.remove_tag_from_field(uid);
+        w.tap_tag(uid, phone);
+        assert_eq!(seen.try_iter().count(), 1);
+        assert_eq!(sinks(&w), 1);
     }
 
     #[test]

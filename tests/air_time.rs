@@ -245,3 +245,38 @@ fn instant_exchanges_arm_no_timer() {
     assert_eq!(rig.clock.next_deadline(), None, "nothing waits on the clock");
     assert_eq!(rig.stored(*uid), encode("instant"));
 }
+
+/// Submissions that wake a loop while its attempt is on the air find the
+/// attempt's timer already armed and arm no second one: the attempt
+/// costs one timer fire per exchange, however often it is woken early.
+#[test]
+fn an_early_wake_of_an_attempt_on_the_air_arms_no_second_timer() {
+    let (_, commands) = one_write("first");
+    let rig = Rig::new(LinkModel::reliable(), 1);
+    let (tag, uid) = &rig.tags[0];
+    rig.write(tag, "first");
+    rig.settle(1);
+    assert_eq!(rig.exchanges(), 1, "the first command is on the air");
+
+    let (wakeups, polls) = (rig.counter("scheduler.wakeups"), rig.counter("scheduler.polls"));
+    for text in ["second", "third", "fourth"] {
+        rig.write(tag, text);
+    }
+    let woken = rig.counter("scheduler.wakeups") - wakeups;
+    assert!(woken >= 1, "the submissions wake the loop");
+    wait_for("the worker to poll the early wakes and park", || {
+        rig.counter("scheduler.polls") - polls == woken && rig.clock.finite_waiters() == 1
+    });
+    assert_eq!(rig.exchanges(), 1, "an early wake sends nothing");
+
+    // Counted by the worker before it parks again, unlike `done`, which
+    // the main thread counts.
+    while tag.stats().snapshot().succeeded < 1 {
+        rig.step(4);
+    }
+    assert_eq!(rig.counter("scheduler.timer_fires"), commands, "one fire per exchange");
+    while rig.done() < 4 {
+        rig.step(4);
+    }
+    assert_eq!(rig.stored(*uid), encode("fourth"));
+}

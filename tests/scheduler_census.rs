@@ -1,7 +1,7 @@
-//! Middleware thread census: under the sharded execution policy the
-//! number of middleware threads must stay bounded by the worker-pool
-//! size plus a small constant, no matter how many far references exist
-//! or how many tags discovery pre-reads at once.
+//! Middleware thread census: the context's `morena-*` threads are its
+//! pool workers and nothing else, no matter how many far references
+//! exist, whether a discoverer runs, or how many tags it pre-reads at
+//! once.
 //!
 //! This file holds exactly one test on purpose: the census walks
 //! `/proc/self/task`, so a sibling test running concurrently in the same
@@ -82,16 +82,19 @@ fn sharded_pool_bounds_middleware_threads_at_scale() {
 
     // Census while every loop is live and has work queued or in flight.
     if std::path::Path::new("/proc/self/task").exists() {
+        // A thread names itself once it first runs.
+        let named_by = std::time::Instant::now() + Duration::from_secs(10);
+        while morena_threads().iter().filter(|n| n.starts_with("morena-sched")).count() < WORKERS {
+            assert!(std::time::Instant::now() < named_by, "the workers never named themselves");
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let names = morena_threads();
         let sched = names.iter().filter(|n| n.starts_with("morena-sched")).count();
         let loops = names.iter().filter(|n| n.starts_with("morena-loop")).count();
         assert!(sched <= WORKERS, "worker pool exceeded with {REFS} refs: {names:?}");
         assert_eq!(loops, 0, "sharded policy must not spawn per-loop threads: {names:?}");
-        // Pool + the context's event router; nothing scales with REFS.
-        assert!(
-            names.len() <= WORKERS + 1,
-            "middleware threads must be bounded by pool size + constant, got {names:?}"
-        );
+        // The pool and nothing else; nothing scales with REFS.
+        assert_eq!(names.len(), WORKERS, "middleware threads beyond the pool: {names:?}");
     }
 
     // The bounded pool still resolves every operation exactly once.
@@ -101,9 +104,10 @@ fn sharded_pool_bounds_middleware_threads_at_scale() {
     assert!(done_rx.try_recv().is_err(), "no duplicate completions");
     assert_eq!(loops_owned(&world), REFS as u64);
 
-    // Discovery: tapping a burst of badges at once runs every pre-read on
-    // the same pool. Only the discoverer's event thread is added, and the
-    // shards count the loops of the references minted, not the pre-reads.
+    // Discovery: tapping a burst of badges at once dispatches every
+    // sighting and runs every pre-read on the same pool. No thread is
+    // added, and the shards count the loops of the references minted, not
+    // the router or the pre-reads.
     const BADGES: usize = 200;
     let (seen_tx, seen_rx) = channel();
     let disco = TagDiscoverer::new(
@@ -112,12 +116,6 @@ fn sharded_pool_bounds_middleware_threads_at_scale() {
         Arc::new(CountBlanks(seen_tx)),
     );
     let census = std::path::Path::new("/proc/self/task").exists();
-    // The discoverer's thread names itself once it runs.
-    let named_by = std::time::Instant::now() + Duration::from_secs(10);
-    while census && !morena_threads().iter().any(|n| n.starts_with("morena-discov")) {
-        assert!(std::time::Instant::now() < named_by, "no discovery thread");
-        std::thread::sleep(Duration::from_millis(1));
-    }
     let before = morena_threads();
     for i in 0..BADGES {
         let uid = world.add_tag(Box::new(Type2Tag::ntag215(TagUid::from_seed((REFS + i) as u32))));
@@ -125,7 +123,11 @@ fn sharded_pool_bounds_middleware_threads_at_scale() {
     }
     if census {
         assert_eq!(morena_threads(), before, "a burst of taps started a thread");
-        assert!(before.len() <= WORKERS + 2, "pool + router + discovery, got {before:?}");
+        assert_eq!(before.len(), WORKERS, "the pool and nothing else, got {before:?}");
+        assert!(
+            !before.iter().any(|n| n == "morena-router" || n.starts_with("morena-discov")),
+            "an event thread: {before:?}"
+        );
     }
     for _ in 0..BADGES {
         seen_rx.recv_timeout(Duration::from_secs(60)).expect("badge detected");
