@@ -26,7 +26,7 @@ use morena_obs::{trace, EventKind, MemFootprint};
 use crate::context::MorenaContext;
 use crate::convert::TagDataConverter;
 use crate::eventloop::{
-    Attempted, EventLoop, ObsScope, OpExecutor, OpFailure, OpRequest, OpResponse, OpStats, Progress,
+    Attempted, EventLoop, OpExecutor, OpFailure, OpRequest, OpResponse, OpStats, Progress,
 };
 use crate::future::UnitFuture;
 use crate::policy::Policy;
@@ -129,13 +129,17 @@ impl<C: TagDataConverter> std::fmt::Debug for Beamer<C> {
 impl<C: TagDataConverter> Beamer<C> {
     /// Creates a beamer inheriting the context's default [`Policy`].
     pub fn new(ctx: &MorenaContext, converter: Arc<C>) -> Beamer<C> {
-        Beamer::with_policy(ctx, converter, ctx.default_policy())
+        Beamer::build(ctx, converter, ctx.shared_policy())
     }
 
     /// Creates a beamer pinned to an explicit distribution [`Policy`].
     pub fn with_policy(ctx: &MorenaContext, converter: Arc<C>, policy: Policy) -> Beamer<C> {
+        Beamer::build(ctx, converter, Arc::new(policy))
+    }
+
+    /// Creates a beamer pinned to a policy it shares.
+    pub(crate) fn build(ctx: &MorenaContext, converter: Arc<C>, policy: Arc<Policy>) -> Beamer<C> {
         let event_loop = EventLoop::spawn(
-            "beamer",
             ctx.execution(),
             Arc::clone(ctx.clock()),
             ctx.handler(),
@@ -143,7 +147,7 @@ impl<C: TagDataConverter> Beamer<C> {
             PushExecutor { nfc: ctx.nfc().clone(), to: None },
             // Beaming is undirected; `*` tells the correlator to count
             // *any* peer in range as reachability for these ops.
-            ObsScope::new(ctx, "beamer".into(), "beam", "*".into()),
+            ctx.loop_telemetry("beamer".into(), "beam", "*".into()),
         );
         // Any peer appearing or leaving may change reachability: poke the
         // loop through the context's shared event router.

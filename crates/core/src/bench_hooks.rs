@@ -15,8 +15,10 @@ use morena_android_sim::looper::MainThread;
 use morena_nfc_sim::clock::{Clock, SystemClock};
 use morena_nfc_sim::controller::Resume;
 
+use morena_obs::{LoopTelemetry, Recorder};
+
 use crate::eventloop::{
-    Attempted, EventLoop, ObsScope, OpExecutor, OpRequest, OpResponse, OpStatsSnapshot, Progress,
+    Attempted, EventLoop, OpExecutor, OpRequest, OpResponse, OpStatsSnapshot, Progress,
 };
 use crate::future::block_on;
 use crate::policy::Policy;
@@ -57,17 +59,18 @@ impl HotLoop {
     pub fn new() -> HotLoop {
         let main = MainThread::spawn();
         let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
-        let obs = ObsScope::detached("bench-hot-loop");
+        let recorder = Arc::new(Recorder::new());
         let exec =
-            Arc::new(Scheduler::new(ExecutionPolicy::default(), Arc::clone(&clock), &obs.recorder));
+            Arc::new(Scheduler::new(ExecutionPolicy::default(), Arc::clone(&clock), &recorder));
+        let name = "bench-hot-loop";
+        let telemetry = LoopTelemetry::new(recorder, name.into(), "test", 0, name.into());
         let event_loop = EventLoop::spawn(
-            "bench-hot-loop",
             &exec,
             clock,
             main.handler(),
-            Policy::default(),
+            Arc::new(Policy::default()),
             NullExecutor,
-            obs,
+            telemetry,
         );
         HotLoop { event_loop, _exec: exec, _main: main }
     }

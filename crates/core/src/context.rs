@@ -23,7 +23,7 @@ use morena_nfc_sim::controller::NfcHandle;
 use morena_nfc_sim::world::{PhoneId, World};
 use morena_obs::expose::ExpositionServer;
 use morena_obs::timeseries::{Sampler, SamplerConfig};
-use morena_obs::WatchdogConfig;
+use morena_obs::{LoopTelemetry, WatchdogConfig};
 
 use morena_obs::Mutex;
 
@@ -47,8 +47,9 @@ pub struct MorenaContext {
     /// The context-level distribution policy: the default every
     /// reference, discoverer, and beamer created from this context
     /// inherits (shared across clones; see
-    /// [`set_default_policy`](MorenaContext::set_default_policy)).
-    policy: Arc<Mutex<Policy>>,
+    /// [`set_default_policy`](MorenaContext::set_default_policy)). One
+    /// allocation, shared by everything created under it.
+    policy: Arc<Mutex<Arc<Policy>>>,
     // Keeps a headless main thread alive for as long as any clone lives.
     _own_main: Option<Arc<MainThread>>,
 }
@@ -119,7 +120,7 @@ impl MorenaContext {
             clock,
             exec,
             router,
-            policy: Arc::new(Mutex::new(policy)),
+            policy: Arc::new(Mutex::new(Arc::new(policy))),
             _own_main: own_main,
         }
     }
@@ -155,14 +156,32 @@ impl MorenaContext {
     /// [`set_default_policy`](MorenaContext::set_default_policy) calls
     /// do not retune already-created components).
     pub fn default_policy(&self) -> Policy {
-        self.policy.lock().clone()
+        Policy::clone(&self.policy.lock())
+    }
+
+    /// The context-level policy itself, for components that pin it
+    /// without copying it.
+    pub(crate) fn shared_policy(&self) -> Arc<Policy> {
+        Arc::clone(&self.policy.lock())
     }
 
     /// Replaces the context-level distribution [`Policy`] at runtime.
     /// Affects components created afterwards, on every clone of this
     /// context; components pin their policy at creation.
     pub fn set_default_policy(&self, policy: Policy) {
-        *self.policy.lock() = policy;
+        *self.policy.lock() = Arc::new(policy);
+    }
+
+    /// The telemetry handle of an event loop named `name`, of family
+    /// `kind`, that this context's phone runs against `target`.
+    pub(crate) fn loop_telemetry(
+        &self,
+        name: String,
+        kind: &'static str,
+        target: String,
+    ) -> LoopTelemetry {
+        let recorder = Arc::clone(self.nfc.world().obs());
+        LoopTelemetry::new(recorder, name, kind, self.phone().as_u64(), target)
     }
 
     /// Start the continuous telemetry sampler over this context's

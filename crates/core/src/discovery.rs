@@ -87,7 +87,7 @@ struct DiscovererInner<C: TagDataConverter> {
     ctx: MorenaContext,
     converter: Arc<C>,
     listener: Arc<dyn DiscoveryListener<C>>,
-    policy: Policy,
+    policy: Arc<Policy>,
     references: Mutex<HashMap<TagUid, TagReference<C>>>,
     /// Tags with a pre-read running, each with the trace of a sighting
     /// that arrived meanwhile, if any (see `handle_entered`).
@@ -166,7 +166,7 @@ impl<C: TagDataConverter> TagDiscoverer<C> {
         converter: Arc<C>,
         listener: Arc<dyn DiscoveryListener<C>>,
     ) -> TagDiscoverer<C> {
-        TagDiscoverer::with_policy(ctx, converter, listener, ctx.default_policy())
+        TagDiscoverer::build(ctx, converter, listener, ctx.shared_policy())
     }
 
     /// Starts discovery pinned to an explicit [`Policy`]: its
@@ -177,6 +177,17 @@ impl<C: TagDataConverter> TagDiscoverer<C> {
         converter: Arc<C>,
         listener: Arc<dyn DiscoveryListener<C>>,
         policy: Policy,
+    ) -> TagDiscoverer<C> {
+        TagDiscoverer::build(ctx, converter, listener, Arc::new(policy))
+    }
+
+    /// Starts discovery pinned to a policy it shares with the
+    /// references it creates.
+    pub(crate) fn build(
+        ctx: &MorenaContext,
+        converter: Arc<C>,
+        listener: Arc<dyn DiscoveryListener<C>>,
+        policy: Arc<Policy>,
     ) -> TagDiscoverer<C> {
         let inner = Arc::new(DiscovererInner {
             ctx: ctx.clone(),
@@ -264,17 +275,7 @@ fn handle_entered<C: TagDataConverter>(
     // this scope — any operation the application submits on the minted
     // reference all share one trace_id ("discovery-minted references").
     let world_recorder = inner.ctx.nfc().world().obs();
-    let trace = if world_recorder.is_enabled() {
-        let trace_id = world_recorder.next_trace_id();
-        let span_id = world_recorder.next_span_id();
-        Some(if inner.policy.trace_sample.admits(trace_id) {
-            TraceContext::root(trace_id, span_id)
-        } else {
-            TraceContext::unsampled_root(trace_id, span_id)
-        })
-    } else {
-        None
-    };
+    let trace = world_recorder.mint_root(inner.policy.trace_sample);
     let running = match inner.prereads.lock().entry(uid) {
         Entry::Occupied(mut running) => {
             running.insert(Some(trace));
@@ -423,12 +424,12 @@ fn deliver<C: TagDataConverter>(
         match references.get(&uid) {
             Some(existing) => (existing.clone(), true),
             None => {
-                let created = TagReference::with_policy(
+                let created = TagReference::build(
                     &inner.ctx,
                     uid,
                     tech,
                     Arc::clone(&inner.converter),
-                    inner.policy.clone(),
+                    Arc::clone(&inner.policy),
                 );
                 references.insert(uid, created.clone());
                 (created, false)

@@ -51,11 +51,9 @@ use morena_nfc_sim::error::NfcOpError;
 use morena_obs::inspect::{ComponentSnapshot, HeadOp, LoopSnapshot, SnapshotProvider};
 use morena_obs::Mutex;
 use morena_obs::{
-    trace, AttemptOutcome, Counter, EventKind, Histogram, MemFootprint, OpKind, OpOutcome,
-    Recorder, Rng, TraceContext,
+    trace, AttemptOutcome, LoopTelemetry, MemFootprint, OpKind, OpOutcome, Rng, TraceContext,
 };
 
-use crate::context::MorenaContext;
 use crate::convert::ConvertError;
 use crate::future::{CoreHandle, OpFuture, OpPool};
 use crate::policy::{BackoffState, Policy};
@@ -75,8 +73,9 @@ pub enum OpFailure {
     /// The data on the tag could not be converted to the reference's
     /// value type.
     InvalidData(ConvertError),
-    /// The reference/beamer was shut down with the operation still
-    /// queued.
+    /// The operation was cancelled before it completed: through its
+    /// ticket, by dropping its future, or by shutting the reference or
+    /// beamer down.
     Cancelled,
 }
 
@@ -146,115 +145,7 @@ pub(crate) struct Progress {
     pub(crate) failed: Option<NfcOpError>,
 }
 
-// The per-loop lifetime counters migrated to `morena-obs` (one stats
-// path for the whole workspace); re-exported here so `core::eventloop`
-// remains their canonical middleware-facing home.
 pub use morena_obs::{OpStats, OpStatsSnapshot};
-
-/// Where a loop's operations land in the unified observability stream:
-/// the world's [`Recorder`] plus the identity stamped on every event.
-/// The `target` string must match the simulator's physical-event keying
-/// (tag uid rendering, `phone-N` for peers, `*` for undirected beams)
-/// so [`morena_obs::correlate`] can join the two streams.
-#[derive(Clone)]
-pub(crate) struct ObsScope {
-    pub(crate) recorder: Arc<Recorder>,
-    pub(crate) loop_name: String,
-    /// Loop family label surfaced by the inspector (`tag`, `beam`,
-    /// `peer`; `test` in harnesses).
-    pub(crate) kind: &'static str,
-    pub(crate) phone: u64,
-    pub(crate) target: String,
-}
-
-impl ObsScope {
-    /// Scope for a loop owned by `ctx`'s phone, wired to its world's
-    /// recorder.
-    pub(crate) fn new(
-        ctx: &MorenaContext,
-        loop_name: String,
-        kind: &'static str,
-        target: String,
-    ) -> ObsScope {
-        ObsScope {
-            recorder: Arc::clone(ctx.nfc().world().obs()),
-            loop_name,
-            kind,
-            phone: ctx.phone().as_u64(),
-            target,
-        }
-    }
-
-    /// Scope wired to a fresh disabled recorder — events go nowhere.
-    #[cfg(any(test, feature = "bench-hooks"))]
-    pub(crate) fn detached(name: &str) -> ObsScope {
-        ObsScope {
-            recorder: Arc::new(Recorder::new()),
-            loop_name: name.to_owned(),
-            kind: "test",
-            phone: 0,
-            target: name.to_owned(),
-        }
-    }
-
-    /// Emits an event with an explicit trace context (overriding the
-    /// thread's ambient one — the causal owner of a loop event is a
-    /// queued op, not whatever the polling thread happens to be doing),
-    /// constructing it only when recording is enabled (the disabled
-    /// path is one relaxed atomic load).
-    #[inline]
-    fn emit_traced(
-        &self,
-        at: SimInstant,
-        trace: Option<TraceContext>,
-        make: impl FnOnce() -> EventKind,
-    ) {
-        if self.recorder.is_enabled() {
-            self.recorder.emit_traced(at.as_nanos(), trace, make());
-        }
-    }
-}
-
-/// Metric handles resolved once at spawn so the hot loop never touches
-/// the registry lock.
-struct LoopMetrics {
-    submitted: Counter,
-    attempts: Counter,
-    retries: Counter,
-    succeeded: Counter,
-    timed_out: Counter,
-    failed: Counter,
-    cancelled: Counter,
-    attempt_ns: Arc<Histogram>,
-    completion_ns: Arc<Histogram>,
-    /// Chosen retry delays — the policy layer's observable behavior
-    /// (jitter shows up as spread, curve depth as the upper tail).
-    backoff_ns: Arc<Histogram>,
-    /// Flushes that collapsed ≥2 queued writes into one exchange.
-    coalesced_batches: Counter,
-    /// Radio exchanges avoided by coalescing (batch size − 1 each).
-    saved_exchanges: Counter,
-}
-
-impl LoopMetrics {
-    fn resolve(recorder: &Recorder) -> LoopMetrics {
-        let m = recorder.metrics();
-        LoopMetrics {
-            submitted: m.counter("ops.submitted"),
-            attempts: m.counter("ops.attempts"),
-            retries: m.counter("ops.retries"),
-            succeeded: m.counter("ops.succeeded"),
-            timed_out: m.counter("ops.timed_out"),
-            failed: m.counter("ops.failed"),
-            cancelled: m.counter("ops.cancelled"),
-            attempt_ns: m.histogram("op.attempt_ns"),
-            completion_ns: m.histogram("op.completion_ns"),
-            backoff_ns: m.histogram("policy.backoff_ns"),
-            coalesced_batches: m.counter("coalesce.batches"),
-            saved_exchanges: m.counter("coalesce.saved_exchanges"),
-        }
-    }
-}
 
 fn op_kind(request: &OpRequest) -> OpKind {
     match request {
@@ -396,12 +287,11 @@ pub(crate) struct Shared {
     shard: Arc<Shard>,
     clock: Arc<dyn Clock>,
     handler: Handler,
-    stats: Arc<OpStats>,
-    policy: Policy,
+    /// The distribution policy, shared by every loop minted with it.
+    policy: Arc<Policy>,
     poller: Mutex<Poller>,
     executor: Box<dyn OpExecutor>,
-    obs: ObsScope,
-    metrics: LoopMetrics,
+    telemetry: LoopTelemetry,
     /// Which op the polling thread last attempted (`u64::MAX` = none
     /// yet) and how many attempts it has absorbed — the inspector's
     /// retry-storm evidence. Written only by the polling thread, read
@@ -427,33 +317,6 @@ impl Shared {
         }
     }
 
-    /// Mints the causal identity of a newly submitted op.
-    ///
-    /// * Submitted under an ambient context (a listener callback, a
-    ///   beam/peer handler, a lease acquire): the op is a *child* hop of
-    ///   that context — same trace, new span, parent edge to the cause.
-    /// * Submitted cold with recording enabled: a fresh *root*, sampled
-    ///   per the policy's [`Policy::trace_sample`] rate (exact on the
-    ///   recorder's monotonic trace ids).
-    /// * Recording disabled and no ambient context: `None` — the only
-    ///   cost was one TLS read and one relaxed load.
-    fn mint_trace(&self) -> Option<TraceContext> {
-        let recorder = &self.obs.recorder;
-        if let Some(parent) = trace::current() {
-            return Some(parent.child(recorder.next_span_id()));
-        }
-        if !recorder.is_enabled() {
-            return None;
-        }
-        let trace_id = recorder.next_trace_id();
-        let span_id = recorder.next_span_id();
-        Some(if self.policy.trace_sample.admits(trace_id) {
-            TraceContext::root(trace_id, span_id)
-        } else {
-            TraceContext::unsampled_root(trace_id, span_id)
-        })
-    }
-
     /// The single resolution path for a queued operation: claims the
     /// op's completion core (exactly one resolver wins — a listener can
     /// never fire *and* the op be swept as cancelled), records
@@ -467,42 +330,19 @@ impl Shared {
         // whatever happens to be ambient on the completing thread (a
         // coalesced follower completes during the head's attempt scope).
         let trace = op.trace;
-        match &outcome {
-            Ok(_) => {
-                let completion_nanos = at.saturating_since(op.enqueued_at).as_nanos() as u64;
-                self.stats.record_succeeded(completion_nanos);
-                self.metrics.succeeded.inc();
-                self.metrics.completion_ns.observe(completion_nanos);
-                self.obs.emit_traced(at, trace, || EventKind::OpCompleted {
-                    op_id: op.op_id,
-                    outcome: OpOutcome::Succeeded,
-                });
-            }
-            Err(OpFailure::TimedOut) => {
-                self.stats.record_timed_out();
-                self.metrics.timed_out.inc();
-                self.obs.emit_traced(at, trace, || EventKind::OpCompleted {
-                    op_id: op.op_id,
-                    outcome: OpOutcome::TimedOut,
-                });
-            }
-            Err(OpFailure::Cancelled) => {
-                self.stats.record_cancelled();
-                self.metrics.cancelled.inc();
-                self.obs.emit_traced(at, trace, || EventKind::OpCompleted {
-                    op_id: op.op_id,
-                    outcome: OpOutcome::Cancelled,
-                });
-            }
-            Err(_) => {
-                self.stats.record_failed();
-                self.metrics.failed.inc();
-                self.obs.emit_traced(at, trace, || EventKind::OpCompleted {
-                    op_id: op.op_id,
-                    outcome: OpOutcome::Failed,
-                });
-            }
-        }
+        let outcome_kind = match &outcome {
+            Ok(_) => OpOutcome::Succeeded,
+            Err(OpFailure::TimedOut) => OpOutcome::TimedOut,
+            Err(OpFailure::Cancelled) => OpOutcome::Cancelled,
+            Err(_) => OpOutcome::Failed,
+        };
+        self.telemetry.completed(
+            at.as_nanos(),
+            trace,
+            op.op_id,
+            outcome_kind,
+            op.enqueued_at.as_nanos(),
+        );
         // Listeners run under the op's context so any operation the
         // application submits from inside the callback joins the trace
         // as a child hop — the read-then-write chain stays one story.
@@ -518,23 +358,6 @@ impl Shared {
                 }
             },
             Completion::Future => op.core.resolve(outcome),
-        }
-    }
-
-    /// Terminal delivery for an operation that never entered the queue
-    /// (submitted after stop): counted as cancelled, resolved through
-    /// its completion without any enqueue/complete event pair.
-    fn resolve_unqueued(&self, core: CoreHandle, completion: Completion, failure: OpFailure) {
-        if !core.try_claim() {
-            return;
-        }
-        self.stats.record_cancelled();
-        self.metrics.cancelled.inc();
-        match completion {
-            Completion::Listeners { on_failure, .. } => {
-                self.post_listener(move || on_failure(failure));
-            }
-            Completion::Future => core.resolve(Err(failure)),
         }
     }
 
@@ -779,21 +602,18 @@ impl Shared {
     fn conclude(&self, attempt: Attempt, outcome: Result<OpResponse, NfcOpError>) -> LoopPoll {
         let Attempt { op_id, rest, deadline, trace, started: attempt_started, .. } = attempt;
         let finished = self.clock.now();
-        let attempt_nanos = finished.saturating_since(attempt_started).as_nanos() as u64;
-        self.stats.record_attempt(attempt_nanos);
-        self.metrics.attempts.inc();
-        self.metrics.attempt_ns.observe(attempt_nanos);
         let attempt_outcome = match &outcome {
             Ok(_) => AttemptOutcome::Success,
             Err(e) if e.is_transient() => AttemptOutcome::Transient,
             Err(_) => AttemptOutcome::Permanent,
         };
-        self.obs.emit_traced(finished, trace, || EventKind::OpAttempt {
+        self.telemetry.attempted(
+            finished.as_nanos(),
+            trace,
             op_id,
-            started_nanos: attempt_started.as_nanos(),
-            duration_nanos: attempt_nanos,
-            outcome: attempt_outcome,
-        });
+            attempt_started.as_nanos(),
+            attempt_outcome,
+        );
         match outcome {
             Ok(response) => {
                 if !rest.is_empty() {
@@ -802,13 +622,9 @@ impl Shared {
                     // FIFO order (writes yield `Done`, so no
                     // per-op response needs fabricating).
                     let batch = self.pop_matching(op_id, &rest);
-                    let completed = batch.len();
+                    self.telemetry.coalesced(batch.len());
                     for op in batch {
                         self.complete(op, finished, Ok(OpResponse::Done));
-                    }
-                    if completed > 1 {
-                        self.metrics.coalesced_batches.inc();
-                        self.metrics.saved_exchanges.add(completed as u64 - 1);
                     }
                 } else if let Some(op) = self.pop_if_head(op_id) {
                     self.complete(op, finished, Ok(response));
@@ -821,10 +637,8 @@ impl Shared {
                 // run queued — nothing was popped). Back off on
                 // the policy's curve; a connectivity
                 // notification re-arms the attempt immediately.
-                self.stats.record_transient_failure();
-                self.metrics.retries.inc();
                 let delay = self.poller.lock().backoff.next_delay(&self.policy.backoff, op_id);
-                self.metrics.backoff_ns.observe(delay.as_nanos() as u64);
+                self.telemetry.retrying(delay);
                 let backoff = self.clock.now() + delay;
                 LoopPoll::RunnableAt(backoff.min(deadline))
             }
@@ -866,12 +680,15 @@ impl MemFootprint for Shared {
             let payloads: u64 = queue.iter().map(PendingOp::payload_bytes).sum();
             (queue.capacity() as u64, payloads)
         };
-        // The shard's shared core pool is accounted by its snapshot.
+        // The shard's shared core pool is accounted by its snapshot; a
+        // shared policy is charged to each holder at its share.
+        let policy = std::mem::size_of::<Policy>() / Arc::strong_count(&self.policy);
         std::mem::size_of::<Shared>() as u64
             + slots * std::mem::size_of::<PendingOp>() as u64
             + payloads
-            + self.obs.loop_name.capacity() as u64
-            + self.obs.target.capacity() as u64
+            + policy as u64
+            + self.telemetry.name.len() as u64
+            + self.telemetry.target.len() as u64
     }
 }
 
@@ -900,10 +717,10 @@ impl SnapshotProvider for Shared {
         };
         // Probed outside the queue lock: connectivity may take sim locks.
         ComponentSnapshot::Loop(LoopSnapshot {
-            name: self.obs.loop_name.clone(),
-            kind: self.obs.kind,
-            phone: self.obs.phone,
-            target: self.obs.target.clone(),
+            name: self.telemetry.name.clone(),
+            kind: self.telemetry.kind,
+            phone: self.telemetry.phone,
+            target: self.telemetry.target.clone(),
             queue_depth,
             connected: self.executor.connected(),
             head,
@@ -944,15 +761,17 @@ impl EventLoop {
     /// Creates the loop state machine and pins it to a shard of `exec`
     /// (no thread is spawned).
     pub(crate) fn spawn(
-        name: &str,
         exec: &Scheduler,
         clock: Arc<dyn Clock>,
         handler: Handler,
-        policy: Policy,
+        policy: Arc<Policy>,
         executor: impl OpExecutor,
-        obs: ObsScope,
+        telemetry: LoopTelemetry,
     ) -> EventLoop {
-        let metrics = LoopMetrics::resolve(&obs.recorder);
+        // Seeded from the loop's name: jitter is reproducible per loop
+        // across runs, distinct across loops (the anti-lock-step
+        // property).
+        let backoff = BackoffState::new(Rng::from_name(&telemetry.name));
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
             stopped: AtomicBool::new(false),
@@ -960,27 +779,19 @@ impl EventLoop {
             shard: exec.assign(),
             clock,
             handler,
-            stats: Arc::new(OpStats::default()),
             policy,
-            // Seeded from the loop's name: jitter is reproducible per
-            // loop across runs, distinct across loops (the anti-lock-
-            // step property).
-            poller: Mutex::new(Poller {
-                backoff: BackoffState::new(Rng::from_name(name)),
-                in_flight: None,
-            }),
+            poller: Mutex::new(Poller { backoff, in_flight: None }),
             executor: Box::new(executor),
-            obs,
-            metrics,
+            telemetry,
             head_op_id: AtomicU64::new(u64::MAX),
             head_attempts: AtomicU64::new(0),
             suppress_coalesce: AtomicBool::new(false),
         });
-        shared
-            .obs
-            .recorder
-            .inspector()
-            .register(&shared.obs.loop_name, Arc::downgrade(&shared) as Weak<dyn SnapshotProvider>);
+        let recorder = shared.telemetry.recorder();
+        recorder.inspector().register(
+            &shared.telemetry.name,
+            Arc::downgrade(&shared) as Weak<dyn SnapshotProvider>,
+        );
         EventLoop { shared }
     }
 
@@ -990,7 +801,8 @@ impl EventLoop {
     ///
     /// If the loop has been stopped the operation resolves immediately
     /// with [`OpFailure::Cancelled`] (the listener fires, or the future
-    /// resolves — nothing ever hangs on a dead loop).
+    /// resolves — nothing ever hangs on a dead loop). It still counts
+    /// as submitted, so every view keeps `submitted ≥ cancelled`.
     fn submit_with(
         &self,
         request: OpRequest,
@@ -1000,29 +812,23 @@ impl EventLoop {
         let shared = &self.shared;
         let core = shared.shard.pool().acquire();
         let handle = core.clone();
-        if shared.stopped.load(Ordering::Acquire) {
-            shared.resolve_unqueued(core, completion, OpFailure::Cancelled);
-            return handle;
-        }
         let timeout = timeout.unwrap_or_else(|| shared.policy.timeout_for(op_kind(&request)));
         let now = shared.clock.now();
         let deadline = now + timeout;
-        let op_id = shared.obs.recorder.next_op_id();
-        let trace = shared.mint_trace();
-        shared.stats.record_submitted();
-        shared.metrics.submitted.inc();
-        shared.obs.emit_traced(now, trace, || EventKind::OpEnqueued {
+        let recorder = shared.telemetry.recorder();
+        let op_id = recorder.next_op_id();
+        let trace = recorder.mint_trace(shared.policy.trace_sample);
+        shared.telemetry.submitted(
+            now.as_nanos(),
+            trace,
             op_id,
-            loop_name: shared.obs.loop_name.clone(),
-            phone: shared.obs.phone,
-            target: shared.obs.target.clone(),
-            op: op_kind(&request),
-            deadline_nanos: deadline.as_nanos(),
-        });
+            op_kind(&request),
+            deadline.as_nanos(),
+        );
         let mut op =
             Some(PendingOp { op_id, request, deadline, enqueued_at: now, core, completion, trace });
         {
-            // Re-check `stopped` under the queue lock: the stop-side drain
+            // Check `stopped` under the queue lock: the stop-side drain
             // also takes this lock, so either our push lands before the
             // drain (and is cancelled by it) or we observe the flag here
             // and never push — the op can no longer be stranded in a queue
@@ -1083,7 +889,12 @@ impl EventLoop {
 
     /// Lifetime statistics.
     pub(crate) fn stats(&self) -> Arc<OpStats> {
-        Arc::clone(&self.shared.stats)
+        Arc::clone(self.shared.telemetry.stats())
+    }
+
+    /// The distribution policy the loop runs under.
+    pub(crate) fn policy(&self) -> &Policy {
+        &self.shared.policy
     }
 
     /// Best-effort deep bytes of the loop state machine (queue slots,
@@ -1116,6 +927,7 @@ mod tests {
     use morena_android_sim::looper::MainThread;
     use morena_nfc_sim::clock::{SystemClock, VirtualClock};
     use morena_nfc_sim::error::LinkError;
+    use morena_obs::{EventKind, Recorder};
     use std::sync::mpsc::{channel, Receiver, Sender};
 
     /// An executor scripted from the test: pops canned results.
@@ -1135,6 +947,12 @@ mod tests {
         }
     }
 
+    /// A telemetry handle on a fresh disabled recorder — events go
+    /// nowhere.
+    fn detached(name: &str) -> LoopTelemetry {
+        LoopTelemetry::new(Arc::new(Recorder::new()), name.to_owned(), "test", 0, name.to_owned())
+    }
+
     struct Fixture {
         main: MainThread,
         // Keeps the worker pool alive for the fixture's lifetime.
@@ -1149,29 +967,35 @@ mod tests {
 
     impl Fixture {
         fn new(clock: Arc<dyn Clock>, config: Policy) -> Fixture {
-            Fixture::with_scope(clock, config, ObsScope::detached("test"))
+            Fixture::with_telemetry(clock, config, detached("test"))
         }
 
-        fn with_scope(clock: Arc<dyn Clock>, config: Policy, scope: ObsScope) -> Fixture {
+        fn with_telemetry(
+            clock: Arc<dyn Clock>,
+            config: Policy,
+            telemetry: LoopTelemetry,
+        ) -> Fixture {
             let main = MainThread::spawn();
-            let exec =
-                Scheduler::new(ExecutionPolicy::default(), Arc::clone(&clock), &scope.recorder);
+            let exec = Scheduler::new(
+                ExecutionPolicy::default(),
+                Arc::clone(&clock),
+                telemetry.recorder(),
+            );
             let connected = Arc::new(AtomicBool::new(true));
             let results = Arc::new(Mutex::new(VecDeque::new()));
             let (exec_tx, executed) = channel();
             let (outcome_tx, outcomes) = channel();
             let event_loop = EventLoop::spawn(
-                "test",
                 &exec,
                 clock,
                 main.handler(),
-                config,
+                Arc::new(config),
                 Scripted {
                     connected: Arc::clone(&connected),
                     results: Arc::clone(&results),
                     executed: exec_tx,
                 },
-                scope,
+                telemetry,
             );
             Fixture {
                 main,
@@ -1330,13 +1154,12 @@ mod tests {
             Scheduler::new(ExecutionPolicy::default(), clock.clone() as Arc<dyn Clock>, &recorder);
         let executes = Arc::new(AtomicU64::new(0));
         let event_loop = EventLoop::spawn(
-            "deadline",
             &exec,
             clock.clone() as Arc<dyn Clock>,
             main.handler(),
-            Policy::default(),
+            Arc::new(Policy::default()),
             DeadlineCrosser { clock: Arc::clone(&clock), executes: Arc::clone(&executes) },
-            ObsScope::detached("deadline"),
+            detached("deadline"),
         );
         let (tx, rx) = channel();
         event_loop.submit(
@@ -1376,19 +1199,18 @@ mod tests {
         let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
         let recorder = Recorder::new();
         let exec = Scheduler::new(ExecutionPolicy::default(), Arc::clone(&clock), &recorder);
-        for i in 0..500 {
+        for _ in 0..500 {
             let event_loop = EventLoop::spawn(
-                &format!("race-{i}"),
                 &exec,
                 Arc::clone(&clock),
                 main.handler(),
-                Policy::default(),
+                Arc::new(Policy::default()),
                 Scripted {
                     connected: Arc::new(AtomicBool::new(false)),
                     results: Arc::new(Mutex::new(VecDeque::new())),
                     executed: channel().0,
                 },
-                ObsScope::detached("race"),
+                detached("race"),
             );
             let (tx, rx) = channel();
             let stopper = {
@@ -1442,14 +1264,9 @@ mod tests {
 
     fn scoped_fixture(policy: Policy, name: &str) -> (Arc<Recorder>, Fixture) {
         let recorder = Arc::new(Recorder::new());
-        let scope = ObsScope {
-            recorder: Arc::clone(&recorder),
-            loop_name: name.to_owned(),
-            kind: "test",
-            phone: 0,
-            target: name.to_owned(),
-        };
-        let f = Fixture::with_scope(Arc::new(SystemClock::new()), policy, scope);
+        let telemetry =
+            LoopTelemetry::new(Arc::clone(&recorder), name.to_owned(), "test", 0, name.to_owned());
+        let f = Fixture::with_telemetry(Arc::new(SystemClock::new()), policy, telemetry);
         (recorder, f)
     }
 
@@ -1594,17 +1411,16 @@ mod tests {
         let recorder = Recorder::new();
         let exec = Scheduler::new(ExecutionPolicy::default(), Arc::clone(&clock), &recorder);
         let event_loop = EventLoop::spawn(
-            "thread-check",
             &exec,
             clock,
             main.handler(),
-            Policy::default(),
+            Arc::new(Policy::default()),
             Scripted {
                 connected: Arc::new(AtomicBool::new(true)),
                 results: Arc::new(Mutex::new(VecDeque::new())),
                 executed: channel().0,
             },
-            ObsScope::detached("thread-check"),
+            detached("thread-check"),
         );
         event_loop.submit(
             OpRequest::Read,
@@ -1648,17 +1464,12 @@ mod tests {
         let recorder = Arc::new(Recorder::new());
         let ring = Arc::new(morena_obs::RingSink::new(64));
         recorder.install(ring.clone());
-        let scope = ObsScope {
-            recorder: Arc::clone(&recorder),
-            loop_name: "tag-x".into(),
-            kind: "test",
-            phone: 7,
-            target: "tag-x".into(),
-        };
-        let f = Fixture::with_scope(
+        let telemetry =
+            LoopTelemetry::new(Arc::clone(&recorder), "tag-x".into(), "test", 7, "tag-x".into());
+        let f = Fixture::with_telemetry(
             Arc::new(SystemClock::new()),
             Policy::new().with_backoff(Backoff::constant(Duration::from_millis(1))),
-            scope,
+            telemetry,
         );
         {
             let mut results = f.results.lock();
@@ -1695,12 +1506,37 @@ mod tests {
 
         // The loop's metric counters agree with its OpStats.
         let metrics = recorder.metrics().snapshot();
-        assert_eq!(metrics.counter("ops.submitted"), 1);
-        assert_eq!(metrics.counter("ops.attempts"), 2);
-        assert_eq!(metrics.counter("ops.retries"), 1);
-        assert_eq!(metrics.counter("ops.succeeded"), 1);
+        let stats = f.event_loop.stats().snapshot();
+        for (name, per_loop, expected) in [
+            ("ops.submitted", stats.submitted, 1),
+            ("ops.attempts", stats.attempts, 2),
+            ("ops.retries", stats.transient_failures, 1),
+            ("ops.succeeded", stats.succeeded, 1),
+            ("ops.timed_out", stats.timed_out, 0),
+            ("ops.failed", stats.failed, 0),
+            ("ops.cancelled", stats.cancelled, 0),
+        ] {
+            assert_eq!(metrics.counter(name), expected, "{name}");
+            assert_eq!(per_loop, expected, "OpStats view of {name}");
+        }
         assert_eq!(metrics.histogram("op.attempt_ns").unwrap().count(), 2);
         assert_eq!(metrics.histogram("op.completion_ns").unwrap().count(), 1);
+        assert_eq!(metrics.histogram("policy.backoff_ns").unwrap().count(), 1);
+        assert_eq!(metrics.counter("coalesce.batches"), 0);
+        assert_eq!(metrics.counter("coalesce.saved_exchanges"), 0);
+    }
+
+    #[test]
+    fn a_submission_to_a_stopped_loop_counts_as_submitted_and_cancelled() {
+        let (recorder, f) = scoped_fixture(Policy::default(), "stopped");
+        f.event_loop.stop();
+        f.submit(OpRequest::Read, None);
+        assert_eq!(f.next_outcome().unwrap_err(), OpFailure::Cancelled);
+        let stats = f.event_loop.stats().snapshot();
+        assert_eq!((stats.submitted, stats.cancelled), (1, 1));
+        let metrics = recorder.metrics().snapshot();
+        assert_eq!(metrics.counter("ops.submitted"), 1);
+        assert_eq!(metrics.counter("ops.cancelled"), 1);
     }
 
     #[test]
@@ -1744,30 +1580,28 @@ mod tests {
         let (entered_tx, entered) = channel();
         let (open_gate, gate) = channel::<()>();
         let busy = EventLoop::spawn(
-            "busy",
             &exec,
             Arc::clone(&clock),
             main.handler(),
-            Policy::default(),
+            Arc::new(Policy::default()),
             Gated { entered: entered_tx, gate: Mutex::new(gate) },
-            ObsScope::detached("busy"),
+            detached("busy"),
         );
         busy.submit(OpRequest::Read, None, Box::new(|_| {}), Box::new(|_| {}));
         // The only worker is now stuck inside `busy`'s attempt.
         entered.recv_timeout(Duration::from_secs(10)).unwrap();
 
         let closed = EventLoop::spawn(
-            "closed",
             &exec,
             clock,
             main.handler(),
-            Policy::default(),
+            Arc::new(Policy::default()),
             Scripted {
                 connected: Arc::new(AtomicBool::new(true)),
                 results: Arc::new(Mutex::new(VecDeque::new())),
                 executed: channel().0,
             },
-            ObsScope::detached("closed"),
+            detached("closed"),
         );
         // Closing wakes the loop onto the busy shard's ready queue.
         closed.stop();

@@ -27,10 +27,11 @@ use morena_nfc_sim::error::NfcOpError;
 use morena_nfc_sim::tag::TagUid;
 use morena_obs::inspect::{ComponentSnapshot, LeaseSnapshot, SnapshotProvider};
 use morena_obs::Mutex;
-use morena_obs::{trace, EventKind, LeaseAction, MemFootprint, Recorder, SampleRate, TraceContext};
+use morena_obs::{trace, EventKind, LeaseAction, MemFootprint};
 use std::sync::Arc;
 
 use crate::context::MorenaContext;
+use crate::policy::Policy;
 
 /// The external record type carrying the lock (domain:type form).
 pub const LEASE_RECORD_TYPE: &str = "morena.example:lease";
@@ -183,13 +184,10 @@ pub struct LeaseManager {
     clock: Arc<dyn Clock>,
     device: DeviceId,
     ledger: Arc<LeaseLedger>,
-    /// The TTL used when the caller does not pick one — snapshotted from
-    /// the context's [`Policy::lease_ttl`](crate::policy::Policy) at
-    /// construction.
-    default_ttl: Duration,
-    /// Head-based trace sampling for acquire roots — snapshotted from
-    /// the context's [`Policy::trace_sample`](crate::policy::Policy).
-    trace_sample: SampleRate,
+    /// The context's policy at construction: its `lease_ttl` is the TTL
+    /// used when the caller picks none, its `trace_sample` samples
+    /// acquire roots.
+    policy: Arc<Policy>,
 }
 
 /// This device's view of the leases it believes it holds — kept for the
@@ -237,14 +235,12 @@ impl LeaseManager {
             format!("leases-{device}"),
             Arc::downgrade(&ledger) as std::sync::Weak<dyn SnapshotProvider>,
         );
-        let policy = ctx.default_policy();
         LeaseManager {
             nfc: ctx.nfc().clone(),
             clock: Arc::clone(ctx.clock()),
             device,
             ledger,
-            default_ttl: policy.lease_ttl,
-            trace_sample: policy.trace_sample,
+            policy: ctx.shared_policy(),
         }
     }
 
@@ -256,7 +252,7 @@ impl LeaseManager {
     /// The TTL [`acquire_default`](LeaseManager::acquire_default) uses,
     /// as inherited from the context policy at construction.
     pub fn default_ttl(&self) -> Duration {
-        self.default_ttl
+        self.policy.lease_ttl
     }
 
     /// [`acquire`](LeaseManager::acquire) with the policy-provided
@@ -266,7 +262,7 @@ impl LeaseManager {
     ///
     /// Same as [`acquire`](LeaseManager::acquire).
     pub fn acquire_default(&self, uid: TagUid) -> Result<Lease, LeaseError> {
-        self.acquire(uid, self.default_ttl)
+        self.acquire(uid, self.policy.lease_ttl)
     }
 
     fn read_message(&self, uid: TagUid) -> Result<NdefMessage, LeaseError> {
@@ -346,7 +342,7 @@ impl LeaseManager {
         // a fresh sampled-or-not root, and hold it as the ambient scope
         // so the whole read→write→verify round — including the Phys*
         // ground truth and the Lease outcome event — is one traced hop.
-        let ctx = self.mint_trace(&recorder);
+        let ctx = recorder.mint_trace(self.policy.trace_sample);
         let _scope = trace::enter(ctx);
         let span = recorder.span("lease.acquire", self.device.0, self.clock.now().as_nanos());
         let result = self.acquire_inner(uid, ttl);
@@ -360,25 +356,6 @@ impl LeaseManager {
             Err(_) => {}
         }
         result
-    }
-
-    /// Mints the causal identity of one acquire call — the same rules as
-    /// the event loop's submit path (child of ambient, else a fresh root
-    /// sampled by policy, else nothing while recording is off).
-    fn mint_trace(&self, recorder: &Recorder) -> Option<TraceContext> {
-        if let Some(parent) = trace::current() {
-            return Some(parent.child(recorder.next_span_id()));
-        }
-        if !recorder.is_enabled() {
-            return None;
-        }
-        let trace_id = recorder.next_trace_id();
-        let span_id = recorder.next_span_id();
-        Some(if self.trace_sample.admits(trace_id) {
-            TraceContext::root(trace_id, span_id)
-        } else {
-            TraceContext::unsampled_root(trace_id, span_id)
-        })
     }
 
     fn acquire_inner(&self, uid: TagUid, ttl: Duration) -> Result<Lease, LeaseError> {

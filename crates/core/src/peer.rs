@@ -26,7 +26,7 @@ use morena_obs::{trace, EventKind, MemFootprint};
 use crate::beam::PushExecutor;
 use crate::context::MorenaContext;
 use crate::convert::TagDataConverter;
-use crate::eventloop::{EventLoop, ObsScope, OpFailure, OpRequest, OpStats};
+use crate::eventloop::{EventLoop, OpFailure, OpRequest, OpStats};
 use crate::future::UnitFuture;
 use crate::policy::Policy;
 use crate::router::RouteGuard;
@@ -99,7 +99,7 @@ impl<C: TagDataConverter> PeerReference<C> {
     /// Creates a reference to `peer` inheriting the context's default
     /// [`Policy`].
     pub fn new(ctx: &MorenaContext, peer: PhoneId, converter: Arc<C>) -> PeerReference<C> {
-        PeerReference::with_policy(ctx, peer, converter, ctx.default_policy())
+        PeerReference::build(ctx, peer, converter, ctx.shared_policy())
     }
 
     /// Creates a reference to `peer` pinned to an explicit distribution
@@ -110,8 +110,16 @@ impl<C: TagDataConverter> PeerReference<C> {
         converter: Arc<C>,
         policy: Policy,
     ) -> PeerReference<C> {
+        PeerReference::build(ctx, peer, converter, Arc::new(policy))
+    }
+
+    fn build(
+        ctx: &MorenaContext,
+        peer: PhoneId,
+        converter: Arc<C>,
+        policy: Arc<Policy>,
+    ) -> PeerReference<C> {
         let event_loop = EventLoop::spawn(
-            &format!("peer-{peer}"),
             ctx.execution(),
             Arc::clone(ctx.clock()),
             ctx.handler(),
@@ -119,7 +127,7 @@ impl<C: TagDataConverter> PeerReference<C> {
             PushExecutor { nfc: ctx.nfc().clone(), to: Some(peer) },
             // Target keyed like the simulator's peer-presence events
             // ("phone-N") so the correlator can join the two streams.
-            ObsScope::new(ctx, format!("peer-{peer}"), "peer", obs_peer_target(peer)),
+            ctx.loop_telemetry(format!("peer-{peer}"), "peer", obs_peer_target(peer)),
         );
         // Presence changes of *this* peer re-arm the loop, via the
         // context's shared event router.

@@ -19,7 +19,6 @@ use std::sync::{Arc, Weak};
 
 use morena_nfc_sim::controller::NfcHandle;
 use morena_nfc_sim::world::NfcEvent;
-use morena_obs::MemFootprint;
 use morena_obs::Mutex;
 
 use crate::sched::{LoopPoll, PollTask, Scheduler, Shard};
@@ -87,16 +86,6 @@ impl PollTask for EventRouter {
 impl std::fmt::Debug for EventRouter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventRouter").field("routes", &self.routes.lock().len()).finish()
-    }
-}
-
-impl MemFootprint for EventRouter {
-    fn mem_bytes(&self) -> u64 {
-        // Route closures are opaque `Arc<dyn Fn>`s; their environments
-        // (typically a channel sender plus a uid) are attributed as the
-        // slot's fat pointer only — best-effort, per the trait contract.
-        let slots = self.routes.lock().capacity() as u64;
-        std::mem::size_of::<EventRouter>() as u64 + slots * std::mem::size_of::<Route>() as u64
     }
 }
 
@@ -272,16 +261,6 @@ mod tests {
         });
         f.world.tap_tag(f.uid, f.phone);
         rx.recv_timeout(Duration::from_secs(5)).expect("router must keep dispatching");
-    }
-
-    #[test]
-    fn mem_footprint_tracks_route_slots() {
-        let f = fixture(4, 1);
-        let empty = f.router.mem_bytes();
-        assert!(empty >= std::mem::size_of::<EventRouter>() as u64);
-        let guards: Vec<_> = (0..32).map(|_| f.router.register(|_| {})).collect();
-        assert!(f.router.mem_bytes() > empty, "32 routes must enlarge the table");
-        drop(guards);
     }
 
     #[test]

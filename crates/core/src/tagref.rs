@@ -39,8 +39,7 @@ use morena_obs::Mutex;
 use crate::context::MorenaContext;
 use crate::convert::TagDataConverter;
 use crate::eventloop::{
-    Attempted, EventLoop, ObsScope, OpExecutor, OpFailure, OpRequest, OpResponse, OpStats,
-    OpTicket, Progress,
+    Attempted, EventLoop, OpExecutor, OpFailure, OpRequest, OpResponse, OpStats, OpTicket, Progress,
 };
 use crate::future::{block_on, OpFuture, UnitFuture};
 use crate::policy::Policy;
@@ -132,9 +131,6 @@ struct RefInner<C: TagDataConverter> {
     ctx: MorenaContext,
     converter: Arc<C>,
     event_loop: EventLoop,
-    /// The reference's pinned distribution policy (the loop holds its
-    /// own copy; this one answers cache-TTL checks).
-    policy: Policy,
     /// The cached value and when it was last confirmed on the tag —
     /// [`Policy::cache_ttl`] ages it from that instant.
     cache: Mutex<Option<(C::Value, SimInstant)>>,
@@ -237,7 +233,7 @@ impl<C: TagDataConverter> TagReference<C> {
         tech: TagTech,
         converter: Arc<C>,
     ) -> TagReference<C> {
-        TagReference::with_policy(ctx, uid, tech, converter, ctx.default_policy())
+        TagReference::build(ctx, uid, tech, converter, ctx.shared_policy())
     }
 
     /// Creates a reference pinned to an explicit distribution
@@ -250,16 +246,26 @@ impl<C: TagDataConverter> TagReference<C> {
         converter: Arc<C>,
         policy: Policy,
     ) -> TagReference<C> {
+        TagReference::build(ctx, uid, tech, converter, Arc::new(policy))
+    }
+
+    /// Creates a reference pinned to a policy it shares.
+    pub(crate) fn build(
+        ctx: &MorenaContext,
+        uid: TagUid,
+        tech: TagTech,
+        converter: Arc<C>,
+        policy: Arc<Policy>,
+    ) -> TagReference<C> {
         let event_loop = EventLoop::spawn(
-            &format!("tag-{uid}"),
             ctx.execution(),
             Arc::clone(ctx.clock()),
             ctx.handler(),
-            policy.clone(),
+            policy,
             TagExecutor { nfc: ctx.nfc().clone(), uid },
             // Target keyed by uid rendering so op events join the
             // simulator's physical tag events in `morena_obs::correlate`.
-            ObsScope::new(ctx, format!("tag-{uid}"), "tag", uid.to_string()),
+            ctx.loop_telemetry(format!("tag-{uid}"), "tag", uid.to_string()),
         );
         let reference = TagReference {
             inner: Arc::new(RefInner {
@@ -268,7 +274,6 @@ impl<C: TagDataConverter> TagReference<C> {
                 ctx: ctx.clone(),
                 converter,
                 event_loop: event_loop.clone(),
-                policy,
                 cache: Mutex::new(None),
                 last_raw: Mutex::new(None),
                 route: Mutex::new(None),
@@ -346,7 +351,7 @@ impl<C: TagDataConverter> TagReference<C> {
     pub fn cached(&self) -> Option<C::Value> {
         let guard = self.inner.cache.lock();
         let (value, at) = guard.as_ref()?;
-        if let Some(ttl) = self.inner.policy.cache_ttl {
+        if let Some(ttl) = self.inner.event_loop.policy().cache_ttl {
             if self.inner.ctx.clock().now().saturating_since(*at) > ttl {
                 return None;
             }
@@ -392,7 +397,7 @@ impl<C: TagDataConverter> TagReference<C> {
             // steady-state read path — no parse, no conversion, no
             // allocation. The read did re-confirm the content on the
             // tag, so refresh the staleness stamp when a TTL cares.
-            if self.inner.policy.cache_ttl.is_some() {
+            if self.inner.event_loop.policy().cache_ttl.is_some() {
                 let now = self.inner.ctx.clock().now();
                 if let Some((_, at)) = self.inner.cache.lock().as_mut() {
                     *at = now;

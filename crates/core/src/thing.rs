@@ -420,7 +420,7 @@ impl<T: Thing> ThingSpace<T> {
     /// Starts the things runtime inheriting the context's default
     /// [`Policy`].
     pub fn new(ctx: &MorenaContext, observer: Arc<dyn ThingObserver<T>>) -> ThingSpace<T> {
-        ThingSpace::with_policy(ctx, observer, ctx.default_policy())
+        ThingSpace::build(ctx, observer, ctx.shared_policy())
     }
 
     /// Starts the things runtime pinned to an explicit distribution
@@ -430,14 +430,22 @@ impl<T: Thing> ThingSpace<T> {
         observer: Arc<dyn ThingObserver<T>>,
         policy: Policy,
     ) -> ThingSpace<T> {
+        ThingSpace::build(ctx, observer, Arc::new(policy))
+    }
+
+    fn build(
+        ctx: &MorenaContext,
+        observer: Arc<dyn ThingObserver<T>>,
+        policy: Arc<Policy>,
+    ) -> ThingSpace<T> {
         let converter = Arc::new(T::converter());
-        let discoverer = TagDiscoverer::with_policy(
+        let discoverer = TagDiscoverer::build(
             ctx,
             Arc::clone(&converter),
             Arc::new(DiscoveryAdapter { observer: Arc::clone(&observer) }),
-            policy.clone(),
+            Arc::clone(&policy),
         );
-        let beamer = Beamer::with_policy(ctx, Arc::clone(&converter), policy);
+        let beamer = Beamer::build(ctx, Arc::clone(&converter), policy);
         let receiver = BeamReceiver::new(ctx, converter, Arc::new(BeamAdapter { observer }));
         ThingSpace { discoverer, beamer, receiver }
     }

@@ -35,9 +35,9 @@
 //! * [`critical`] — per-trace critical-path analysis joining a trace's
 //!   hops with their [`OpBreakdown`]s: which hop, and which latency
 //!   component, dominated the end-to-end time.
-//! * [`OpStats`] / [`OpStatsSnapshot`] — the per-event-loop lifetime
-//!   counters (previously private to `morena-core`), so there is one
-//!   stats path, not two.
+//! * [`LoopTelemetry`] — an event loop's one telemetry handle: each op
+//!   lifecycle point is one call that updates the loop's [`OpStats`]
+//!   and the recorder-wide op metrics and emits the event.
 //! * [`profile`] — the [`MemFootprint`] sizing trait behind the live
 //!   `mem_bytes` figures, and (behind the `alloc-profile` feature) a
 //!   counting global allocator with [`AllocScope`] regions so benches
@@ -140,7 +140,7 @@ pub use inspect::{
     HealthTransition, Inspector, InspectorSnapshot, SnapshotProvider, Watchdog, WatchdogConfig,
 };
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
-pub use opstats::{OpStats, OpStatsSnapshot};
+pub use opstats::{LoopTelemetry, OpStats, OpStatsSnapshot};
 pub use profile::{AllocScope, AllocStats, MemFootprint};
 pub use recorder::{Recorder, Span};
 pub use rng::Rng;

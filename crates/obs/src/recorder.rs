@@ -13,13 +13,14 @@
 //! isolated event stream.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 use crate::event::{EventKind, ObsEvent};
 use crate::inspect::Inspector;
 use crate::metrics::MetricsRegistry;
+use crate::opstats::OpMetrics;
 use crate::sink::ObsSink;
-use crate::trace::{self, TraceContext};
+use crate::trace::{self, SampleRate, TraceContext};
 
 /// Hub that stamps events with sequence numbers and forwards them to
 /// the installed sink. See the [module docs](self).
@@ -33,6 +34,8 @@ pub struct Recorder {
     next_span_id: AtomicU64,
     sink: RwLock<Option<Arc<dyn ObsSink>>>,
     metrics: MetricsRegistry,
+    /// The op metrics every event loop feeds, resolved on first use.
+    ops: OnceLock<OpMetrics>,
     inspector: Inspector,
 }
 
@@ -53,6 +56,7 @@ impl Recorder {
             next_span_id: AtomicU64::new(1),
             sink: RwLock::new(None),
             metrics: MetricsRegistry::new(),
+            ops: OnceLock::new(),
             inspector: Inspector::new(),
         }
     }
@@ -124,6 +128,30 @@ impl Recorder {
         self.next_span_id.fetch_add(1, Ordering::Relaxed)
     }
 
+    /// A fresh root trace, sampled at `sample` (exact on the monotonic
+    /// trace ids); `None` while recording is disabled.
+    pub fn mint_root(&self, sample: SampleRate) -> Option<TraceContext> {
+        if !self.is_enabled() {
+            return None;
+        }
+        let trace_id = self.next_trace_id();
+        let span_id = self.next_span_id();
+        Some(if sample.admits(trace_id) {
+            TraceContext::root(trace_id, span_id)
+        } else {
+            TraceContext::unsampled_root(trace_id, span_id)
+        })
+    }
+
+    /// The causal identity of a new operation: a child hop of the
+    /// thread's ambient context, else [`Recorder::mint_root`].
+    pub fn mint_trace(&self, sample: SampleRate) -> Option<TraceContext> {
+        match trace::current() {
+            Some(parent) => Some(parent.child(self.next_span_id())),
+            None => self.mint_root(sample),
+        }
+    }
+
     /// Stamp `kind` with the next sequence number and the given
     /// timestamp and forward it to the sink. No-op while disabled.
     ///
@@ -152,6 +180,10 @@ impl Recorder {
     /// The recorder's metrics registry (always live).
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
+    }
+
+    pub(crate) fn op_metrics(&self) -> &OpMetrics {
+        self.ops.get_or_init(|| OpMetrics::resolve(&self.metrics))
     }
 
     /// The live-component registry (always live, like the metrics).
