@@ -18,6 +18,12 @@
 //! on its shard's timer heap, so each attempt resumes once per command.
 //! Its near-deterministic allocations per op are gated in CI.
 //!
+//! A fourth phase counts the event router's route calls per field event
+//! on a phone with N tag references and one peer inbox, for one tap and
+//! one beam. Dispatch is keyed by target, so the count is the number of
+//! routes the events select (one each), whatever N is; it is gated in
+//! CI.
+//!
 //! Flags:
 //!
 //! * `--sizes 100,1000` — comma-separated swarm sizes (default
@@ -32,14 +38,16 @@ use std::time::{Duration, Instant};
 use morena_bench::{cell, print_table, quick_mode, BenchReport};
 use morena_core::bench_hooks::HotLoop;
 use morena_core::context::MorenaContext;
-use morena_core::convert::StringConverter;
+use morena_core::convert::{StringConverter, TagDataConverter};
+use morena_core::peer::{PeerInbox, PeerListener};
 use morena_core::policy::{Backoff, Policy};
 use morena_core::sched::ExecutionPolicy;
 use morena_core::tagref::TagReference;
 use morena_nfc_sim::clock::SystemClock;
+use morena_nfc_sim::controller::NfcHandle;
 use morena_nfc_sim::link::LinkModel;
 use morena_nfc_sim::tag::{TagTech, TagUid, Type2Tag};
-use morena_nfc_sim::world::World;
+use morena_nfc_sim::world::{PhoneId, World};
 use morena_obs::profile::{self, AllocScope};
 
 const OPS_PER_REF: usize = 2;
@@ -209,6 +217,57 @@ fn run_waiting_link() -> f64 {
     scope.stats().allocs as f64 / REFS as f64
 }
 
+struct Inbox(std::sync::mpsc::Sender<String>);
+
+impl PeerListener<StringConverter> for Inbox {
+    fn on_message(&self, _from: PhoneId, value: String) {
+        let _ = self.0.send(value);
+    }
+}
+
+/// Route closures called per field event on a phone with `refs` tag
+/// references and one peer inbox, over one tap of a referenced tag and
+/// one beam from a second phone.
+fn run_route_calls(refs: usize) -> f64 {
+    let world = World::with_link(Arc::new(SystemClock::new()), LinkModel::instant(), 11);
+    let phone = world.add_phone("bench");
+    let sender = world.add_phone("sender");
+    let ctx = MorenaContext::headless(&world, phone);
+    let converter = Arc::new(StringConverter::plain_text());
+    let uids: Vec<TagUid> = (0..refs as u32)
+        .map(|seed| world.add_tag(Box::new(Type2Tag::ntag215(TagUid::from_seed(seed)))))
+        .collect();
+    let references: Vec<_> = uids
+        .iter()
+        .map(|&uid| TagReference::new(&ctx, uid, TagTech::Type2, Arc::clone(&converter)))
+        .collect();
+    let (got_tx, got) = channel();
+    let _inbox = PeerInbox::new(&ctx, Arc::clone(&converter), Arc::new(Inbox(got_tx)));
+
+    let dispatched = |events: u64| {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while world.obs().metrics().snapshot().counter("router.events") < events {
+            assert!(Instant::now() < deadline, "the router never dispatched event {events}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+    // The sender's arrival is an event no route follows; it is
+    // dispatched before the window opens.
+    world.bring_phones_together(phone, sender);
+    dispatched(1);
+    let before = world.obs().metrics().snapshot();
+    world.tap_tag(uids[0], phone);
+    let message = converter.to_message(&"ping".to_string()).expect("encode").to_bytes();
+    NfcHandle::new(world.clone(), sender).beam(&message).expect("beam reaches the phone");
+    dispatched(3);
+    assert_eq!(got.recv_timeout(Duration::from_secs(60)).expect("the inbox receives"), "ping");
+    let window = world.obs().metrics().snapshot().delta(&before);
+    for reference in references {
+        reference.close();
+    }
+    window.counter("router.route_calls") as f64 / window.counter("router.events") as f64
+}
+
 struct CachedReadResult {
     ops: usize,
     elapsed: Duration,
@@ -360,5 +419,24 @@ fn main() {
     let waiting = run_waiting_link();
     println!("\nwrites over a link with air time (LinkModel::reliable): {waiting:.2} allocs/op");
     report.metric("allocs_per_op@waiting_link", waiting);
+
+    // Phase 4: route calls per field event as references grow.
+    let route_calls: Vec<(usize, f64)> =
+        sizes.iter().map(|&size| (size, run_route_calls(size))).collect();
+    print_table(
+        "EXT-SCHED: event-router route calls per field event (one tap, one beam)",
+        &["tag refs", "calls/event"],
+        &route_calls
+            .iter()
+            .map(|(size, calls)| vec![cell(size), cell(format!("{calls:.2}"))])
+            .collect::<Vec<_>>(),
+    );
+    println!(
+        "\nthe tap runs the tapped tag's reference and the beam runs the inbox:\n\
+         1.00 at every size, since dispatch is keyed by target."
+    );
+    for (size, calls) in route_calls {
+        report.metric(&format!("route_calls_per_event@{size}_sharded"), calls);
+    }
     report.write().expect("write BENCH_ext_sched.json");
 }

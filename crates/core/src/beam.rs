@@ -30,7 +30,7 @@ use crate::eventloop::{
 };
 use crate::future::UnitFuture;
 use crate::policy::Policy;
-use crate::router::RouteGuard;
+use crate::router::{RouteGuard, RouteKey};
 use crate::tracewire;
 
 /// The physical executor behind a [`Beamer`] (`to: None`, any peer in
@@ -152,11 +152,7 @@ impl<C: TagDataConverter> Beamer<C> {
         // Any peer appearing or leaving may change reachability: poke the
         // loop through the context's shared event router.
         let loop_for_route = event_loop.clone();
-        let route = ctx.router().register(move |event| {
-            if matches!(event, NfcEvent::PeerEntered { .. } | NfcEvent::PeerLeft { .. }) {
-                loop_for_route.wake();
-            }
-        });
+        let route = ctx.router().register(RouteKey::AnyPeer, move |_| loop_for_route.wake());
         Beamer {
             inner: Arc::new(BeamerInner {
                 ctx: ctx.clone(),
@@ -322,7 +318,7 @@ impl<C: TagDataConverter> BeamReceiver<C> {
         let phone = ctx.phone().as_u64();
         let received_ctr = recorder.metrics().counter("beam.received");
         let route_converter = Arc::clone(&converter);
-        let route = ctx.router().register(move |event| {
+        let route = ctx.router().register(RouteKey::Beam, move |event| {
             let NfcEvent::BeamReceived { from, bytes } = event else { return };
             let Ok(message) = NdefMessage::parse(bytes) else { return };
             // Strip the in-band trace record *before* the converter or

@@ -45,7 +45,7 @@ use morena_obs::{trace, EventKind, MemFootprint, TraceContext};
 use crate::context::MorenaContext;
 use crate::convert::TagDataConverter;
 use crate::policy::Policy;
-use crate::router::RouteGuard;
+use crate::router::{RouteGuard, RouteKey};
 use crate::sched::{LoopPoll, PollTask};
 use crate::tagref::TagReference;
 
@@ -206,7 +206,7 @@ impl<C: TagDataConverter> TagDiscoverer<C> {
         // Held weakly: dropping the last handle drops the discoverer and
         // its route. Tag loss is left to each reference's own route.
         let discoverer = Arc::downgrade(&inner);
-        let route = ctx.router().register(move |event| {
+        let route = ctx.router().register(RouteKey::AnyTag, move |event| {
             let NfcEvent::TagEntered { uid, tech } = event else { return };
             let Some(inner) = discoverer.upgrade() else { return };
             if !inner.stop.load(Ordering::Acquire) {

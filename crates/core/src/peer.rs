@@ -29,7 +29,7 @@ use crate::convert::TagDataConverter;
 use crate::eventloop::{EventLoop, OpFailure, OpRequest, OpStats};
 use crate::future::UnitFuture;
 use crate::policy::Policy;
-use crate::router::RouteGuard;
+use crate::router::{RouteGuard, RouteKey};
 use crate::tracewire;
 
 struct PeerRefInner<C: TagDataConverter> {
@@ -132,12 +132,7 @@ impl<C: TagDataConverter> PeerReference<C> {
         // Presence changes of *this* peer re-arm the loop, via the
         // context's shared event router.
         let loop_for_route = event_loop.clone();
-        let route = ctx.router().register(move |event| match event {
-            NfcEvent::PeerEntered { peer: p } | NfcEvent::PeerLeft { peer: p } if *p == peer => {
-                loop_for_route.wake();
-            }
-            _ => {}
-        });
+        let route = ctx.router().register(RouteKey::Peer(peer), move |_| loop_for_route.wake());
         PeerReference {
             inner: Arc::new(PeerRefInner {
                 ctx: ctx.clone(),
@@ -306,7 +301,7 @@ impl<C: TagDataConverter> PeerInbox<C> {
         let clock = Arc::clone(ctx.clock());
         let phone = ctx.phone().as_u64();
         let received_ctr = recorder.metrics().counter("peer.received");
-        let route = ctx.router().register(move |event| {
+        let route = ctx.router().register(RouteKey::Beam, move |event| {
             let NfcEvent::BeamReceived { from, bytes } = event else { return };
             let from = *from;
             let Ok(message) = NdefMessage::parse(bytes) else { return };

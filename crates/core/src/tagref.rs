@@ -43,7 +43,7 @@ use crate::eventloop::{
 };
 use crate::future::{block_on, OpFuture, UnitFuture};
 use crate::policy::Policy;
-use crate::router::RouteGuard;
+use crate::router::{RouteGuard, RouteKey};
 
 /// The physical executor behind a tag reference: NDEF operations against
 /// one tag over the lossy link, hardened against the radio's nastier
@@ -280,15 +280,11 @@ impl<C: TagDataConverter> TagReference<C> {
                 observers: Mutex::new(Vec::new()),
             }),
         };
-        // Route connectivity events for this tag through the context's
+        // Route this tag's connectivity events through the context's
         // shared dispatcher: poke the event loop, fan out to observers.
         let weak = Arc::downgrade(&reference.inner);
-        let guard = ctx.router().register(move |event| {
-            let connected = match event {
-                NfcEvent::TagEntered { uid: u, .. } if *u == uid => true,
-                NfcEvent::TagLeft { uid: u } if *u == uid => false,
-                _ => return,
-            };
+        let guard = ctx.router().register(RouteKey::Tag(uid), move |event| {
+            let connected = matches!(event, NfcEvent::TagEntered { .. });
             event_loop.wake();
             let Some(inner) = weak.upgrade() else { return };
             let observers: Vec<_> = inner.observers.lock().clone();

@@ -14,6 +14,8 @@
 //! * scheduler shards report poll liveness, run-queue length, and the
 //!   number of loops they own;
 //! * discovery reports live vs closed references in its identity map;
+//! * each context's event router reports its routes per key kind and
+//!   the field events queued for dispatch;
 //! * lease managers report held leases and their expiries;
 //! * the simulated `World` reports per-phone radio ground truth (tags
 //!   and peers in range) plus the installed fault plan.
@@ -190,6 +192,23 @@ pub struct DiscoverySnapshot {
     pub mem_bytes: u64,
 }
 
+/// A context's event router: its keyed route table and the field
+/// events waiting for dispatch.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RouterSnapshot {
+    /// Phone whose field events the router dispatches.
+    pub phone: u64,
+    /// Live routes per key kind as `(kind label, routes)`: `tag` and
+    /// `peer` routes follow one target, `any_tag`, `any_peer` and
+    /// `beam` routes take every event of their kind.
+    pub routes: Vec<(&'static str, usize)>,
+    /// Events queued by the world and not yet dispatched.
+    pub queued_events: usize,
+    /// Best-effort deep bytes of the route table, its closures and the
+    /// event queue.
+    pub mem_bytes: u64,
+}
+
 /// A lease manager's held leases.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LeaseSnapshot {
@@ -236,6 +255,8 @@ pub enum ComponentSnapshot {
     Shard(ShardSnapshot),
     /// A discoverer identity map.
     Discovery(DiscoverySnapshot),
+    /// A context's event router.
+    Router(RouterSnapshot),
     /// A lease manager.
     Leases(LeaseSnapshot),
     /// The simulated world.
@@ -287,6 +308,7 @@ impl InspectorSnapshot {
                 ComponentSnapshot::Loop(l) => l.mem_bytes,
                 ComponentSnapshot::Shard(s) => s.mem_bytes,
                 ComponentSnapshot::Discovery(d) => d.mem_bytes,
+                ComponentSnapshot::Router(r) => r.mem_bytes,
                 ComponentSnapshot::Leases(l) => l.mem_bytes,
                 ComponentSnapshot::World(_) => 0,
             })
@@ -851,6 +873,17 @@ fn render_top_inner(
                     d.closed_refs,
                     d.prereads,
                     fmt_bytes(d.mem_bytes)
+                ));
+            }
+            ComponentSnapshot::Router(r) => {
+                let routes: Vec<String> =
+                    r.routes.iter().map(|(kind, n)| format!("{kind} {n}")).collect();
+                out.push_str(&format!(
+                    "router phone-{}: routes [{}], {} queued, mem {}\n",
+                    r.phone,
+                    routes.join(", "),
+                    r.queued_events,
+                    fmt_bytes(r.mem_bytes)
                 ));
             }
             ComponentSnapshot::Leases(l) => {
