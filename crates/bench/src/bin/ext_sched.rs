@@ -184,11 +184,13 @@ fn run(size: usize, seed: u64) -> RunResult {
     }
 }
 
-/// Allocations per write over a link with air time: 200 references,
-/// one write each per round, measured on the second round so the
-/// completion-core freelist is warm. One write per reference means no
-/// submission wakes a loop whose attempt is on the air.
-fn run_waiting_link() -> f64 {
+/// Allocations and radio exchanges per write over a link with air time:
+/// 200 references, one write each per round, measured on the second round
+/// so the completion-core freelist is warm and the phone has detected
+/// every tag. One write per reference means no submission wakes a loop
+/// whose attempt is on the air. Every message is the same length, so
+/// every write is the same number of page writes.
+fn run_waiting_link() -> (f64, f64) {
     const REFS: usize = 200;
     let world = World::with_link(Arc::new(SystemClock::new()), LinkModel::reliable(), 7);
     let phone = world.add_phone("bench");
@@ -205,16 +207,18 @@ fn run_waiting_link() -> f64 {
         let (done_tx, done_rx) = channel();
         for (i, reference) in references.iter().enumerate() {
             let done_tx = done_tx.clone();
-            reference.write_ok(format!("{label}-{i}"), move |_| done_tx.send(()).unwrap_or(()));
+            reference.write_ok(format!("{label}-{i:03}"), move |_| done_tx.send(()).unwrap_or(()));
         }
         for _ in 0..REFS {
             done_rx.recv_timeout(Duration::from_secs(60)).expect("write resolves");
         }
     };
     round("warm");
+    let exchanges = world.radio_stats().exchanges;
     let scope = AllocScope::global();
     round("gate");
-    scope.stats().allocs as f64 / REFS as f64
+    let allocs = scope.stats().allocs as f64 / REFS as f64;
+    (allocs, (world.radio_stats().exchanges - exchanges) as f64 / REFS as f64)
 }
 
 struct Inbox(std::sync::mpsc::Sender<String>);
@@ -416,9 +420,13 @@ fn main() {
     report.metric("allocs_per_op@cached_read_sharded", cached.allocs_per_op());
 
     // Phase 3: writes over a link with air time.
-    let waiting = run_waiting_link();
-    println!("\nwrites over a link with air time (LinkModel::reliable): {waiting:.2} allocs/op");
+    let (waiting, exchanges) = run_waiting_link();
+    println!(
+        "\nwrites over a link with air time (LinkModel::reliable): {waiting:.2} allocs/op, \
+         {exchanges:.2} exchanges/op"
+    );
     report.metric("allocs_per_op@waiting_link", waiting);
+    report.metric("exchanges_per_op@waiting_link", exchanges);
 
     // Phase 4: route calls per field event as references grow.
     let route_calls: Vec<(usize, f64)> =

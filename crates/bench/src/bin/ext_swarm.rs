@@ -5,7 +5,11 @@
 //! phones on the sharded worker pool and reports, per swarm size:
 //!
 //! * **bytes/ref** and **refs/GB** — the inspector's live
-//!   `mem_bytes` roll-up divided across the reference population;
+//!   `mem_bytes` roll-up, less the shards' parked completion-core
+//!   freelists, divided across the reference population;
+//! * **pool bytes** — those freelists on their own: how many cores they
+//!   park depends on how many ops were in flight at once, so they measure
+//!   scheduling rather than what keeping a reference costs;
 //! * **sustained ops/sec** over the full submit→drain window;
 //! * **allocs/op** — allocation pressure on the submit→attempt→complete
 //!   path, from the `alloc-profile` counting allocator;
@@ -44,6 +48,8 @@ struct RunResult {
     ops: u64,
     elapsed: Duration,
     mem_bytes: u64,
+    /// Of `mem_bytes`, the shards' parked completion-core freelists.
+    pool_bytes: u64,
     allocs: u64,
     alloc_bytes: u64,
     p50_nanos: u64,
@@ -56,7 +62,7 @@ impl RunResult {
     }
 
     fn bytes_per_ref(&self) -> f64 {
-        self.mem_bytes as f64 / self.size as f64
+        (self.mem_bytes - self.pool_bytes) as f64 / self.size as f64
     }
 
     fn refs_per_gb(&self) -> f64 {
@@ -142,6 +148,7 @@ fn run(size: usize, seed: u64) -> Result<RunResult, String> {
     // the inspector's mem roll-up is the cost of *keeping* the swarm.
     let inspector = world.obs().inspector().snapshot(world.clock().now().as_nanos());
     let mem_bytes = inspector.total_mem_bytes();
+    let pool_bytes = inspector.shards().map(|shard| shard.pool_bytes).sum();
 
     let report =
         Watchdog::default().evaluate_with_metrics(&inspector, &world.obs().metrics().snapshot());
@@ -166,6 +173,7 @@ fn run(size: usize, seed: u64) -> Result<RunResult, String> {
         ops,
         elapsed,
         mem_bytes,
+        pool_bytes,
         allocs: alloc.allocs,
         alloc_bytes: alloc.bytes,
         p50_nanos: completion.and_then(|h| h.p50()).unwrap_or(0),
@@ -230,6 +238,7 @@ fn main() -> ExitCode {
             vec![
                 cell(r.size),
                 cell(fmt_bytes(r.mem_bytes)),
+                cell(fmt_bytes(r.pool_bytes)),
                 cell(format!("{:.0}", r.bytes_per_ref())),
                 cell(format!("{:.0}", r.refs_per_gb())),
                 cell(format!("{:.0}", r.ops_per_sec())),
@@ -241,7 +250,7 @@ fn main() -> ExitCode {
         .collect();
     print_table(
         "EXT-SWARM: live-reference footprint and sustained throughput",
-        &["refs", "mem", "bytes/ref", "refs/GB", "ops/s", "allocs/op", "p50", "p99"],
+        &["refs", "mem", "pool", "bytes/ref", "refs/GB", "ops/s", "allocs/op", "p50", "p99"],
         &rows,
     );
     if !profile::ENABLED {
@@ -252,6 +261,7 @@ fn main() -> ExitCode {
         let at = format!("@{}", r.size);
         report.metric(&format!("ops_per_sec{at}"), r.ops_per_sec());
         report.metric(&format!("bytes_per_ref{at}"), r.bytes_per_ref());
+        report.metric(&format!("pool_bytes{at}"), r.pool_bytes as f64);
         report.metric(&format!("refs_per_gb{at}"), r.refs_per_gb());
         report.metric(&format!("allocs_per_op{at}"), r.allocs_per_op());
         report.metric(&format!("alloc_bytes_per_op{at}"), {

@@ -171,6 +171,7 @@ impl SnapshotProvider for Shard {
         let run_queue = self.ready.lock().len();
         let mem_bytes = self.mem_bytes();
         let pool_free = self.pool.free_len();
+        let pool_bytes = self.pool.mem_bytes();
         ComponentSnapshot::Shard(ShardSnapshot {
             index: self.index,
             loops_owned: self.owned.load(Ordering::Relaxed),
@@ -178,6 +179,7 @@ impl SnapshotProvider for Shard {
             since_poll_nanos: (last_poll != u64::MAX).then(|| now_nanos.saturating_sub(last_poll)),
             pool_free,
             mem_bytes,
+            pool_bytes,
         })
     }
 }

@@ -16,13 +16,36 @@
 //! blocking forms ([`NfcHandle::ndef_read`], [`NfcHandle::beam`], …) are
 //! that driver with the calling thread sleeping on the world clock
 //! through each wait, as the raw Android API blocks.
+//!
+//! # Detection once per presence
+//!
+//! Like Android's NFC service, the phone's stack detects a tag's NDEF
+//! once while the tag is in its field: the world keeps, per phone, one
+//! [`Detection`](crate::proto::Detection) per tag in the field, and every
+//! NDEF procedure starts from it (see [`crate::proto`] for which ones
+//! skip the capability container). A detection is remembered only from a
+//! procedure that read the capability container itself and succeeded.
+//! It is dropped when the tag leaves the phone's field, when the tag is
+//! taken out of the world, and on [`World::with_tag`], which can change
+//! the tag behind the radio's back; a procedure that began before such a
+//! drop remembers nothing.
+//!
+//! The re-detect rule keeps every NDEF error decided by a fresh read of
+//! the capability container, as it was when every procedure read it: a
+//! procedure that started from a remembered detection and ends in an
+//! NDEF error (read-only, capacity, not NDEF, protocol) drops the
+//! detection and runs once more, in the same call, from a fresh read; its
+//! result is the one returned. That covers a tag locked by another phone
+//! while it stays in this phone's field, and a corrupted capability
+//! container that was remembered. Link errors keep the detection: the
+//! tag is either still there or its departure drops it.
 
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 
 use crate::clock::SimInstant;
 use crate::error::{LinkError, NfcOpError};
-use crate::proto::{self, NdefOp, NdefTagInfo, Outcome, Procedure, Transceive};
+use crate::proto::{NdefOp, NdefTagInfo, Outcome, Procedure};
 use crate::tag::{TagTech, TagUid};
 use crate::world::{InFlight, NfcEvent, PhoneId, World};
 
@@ -120,10 +143,13 @@ impl NfcHandle {
     ///
     /// # Errors
     ///
-    /// See [`proto::detect`]; additionally [`LinkError::OutOfRange`] when
-    /// the tag is not in the field at all.
+    /// See [`crate::proto::detect`]; additionally
+    /// [`LinkError::OutOfRange`] when the tag is not in the field at all.
     pub fn ndef_detect(&self, uid: TagUid) -> Result<NdefTagInfo, NfcOpError> {
-        proto::detect(&mut Blocking(self, uid), self.tech(uid)?)
+        match self.ndef(uid, NdefOp::Detect)? {
+            Outcome::Info(info) => Ok(info),
+            _ => unreachable!("detection ends with the tag's info"),
+        }
     }
 
     /// Reads the complete NDEF message bytes from a tag in the field.
@@ -132,9 +158,12 @@ impl NfcHandle {
     ///
     /// # Errors
     ///
-    /// See [`proto::read_ndef`].
+    /// See [`crate::proto::read_ndef`].
     pub fn ndef_read(&self, uid: TagUid) -> Result<Vec<u8>, NfcOpError> {
-        proto::read_ndef(&mut Blocking(self, uid), self.tech(uid)?)
+        match self.ndef(uid, NdefOp::Read)? {
+            Outcome::Bytes(bytes) => Ok(bytes),
+            _ => unreachable!("a read ends with the message"),
+        }
     }
 
     /// Writes NDEF message bytes to a tag in the field (blocking,
@@ -142,9 +171,9 @@ impl NfcHandle {
     ///
     /// # Errors
     ///
-    /// See [`proto::write_ndef`].
+    /// See [`crate::proto::write_ndef`].
     pub fn ndef_write(&self, uid: TagUid, message: &[u8]) -> Result<(), NfcOpError> {
-        proto::write_ndef(&mut Blocking(self, uid), self.tech(uid)?, message)
+        self.ndef(uid, NdefOp::Write(message.into())).map(drop)
     }
 
     /// Permanently write-protects a tag in the field (blocking), the
@@ -152,24 +181,35 @@ impl NfcHandle {
     ///
     /// # Errors
     ///
-    /// See [`proto::make_read_only`].
+    /// See [`crate::proto::make_read_only`].
     pub fn ndef_make_read_only(&self, uid: TagUid) -> Result<(), NfcOpError> {
-        proto::make_read_only(&mut Blocking(self, uid), self.tech(uid)?)
+        self.ndef(uid, NdefOp::MakeReadOnly).map(drop)
+    }
+
+    /// The blocking form of [`NfcHandle::resume_ndef`].
+    fn ndef(&self, uid: TagUid, op: NdefOp<Arc<[u8]>>) -> Result<Outcome, NfcOpError> {
+        let mut session = Session::default();
+        session.start(op);
+        self.block(|| self.resume_ndef(uid, &mut session))
     }
 
     /// Runs `session`'s NDEF procedure against `uid` as far as the radio
     /// allows without waiting. A procedure that has not started first
-    /// checks that the tag is in the field; no exchange is made when it
-    /// is not. Once it is ready, the session holds no procedure until
-    /// [`Session::start`] sets the next one.
+    /// checks that the tag is in the field, and starts from this phone's
+    /// remembered [`Detection`](crate::proto::Detection) of it, if any; no
+    /// exchange is made when the tag is not in the field. Once it is
+    /// ready, the session holds no procedure until [`Session::start`] sets
+    /// the next one.
     ///
     /// An exchange with no air time and no dwell lands inline, so on an
     /// instant link the procedure ends in one call.
     ///
     /// # Errors
     ///
-    /// The procedure's own (see [`proto`]); [`LinkError::OutOfRange`]
-    /// when the tag is not in the field at the start.
+    /// The procedure's own (see [`crate::proto`]);
+    /// [`LinkError::OutOfRange`] when the tag is not in the field at the
+    /// start. An NDEF error is always decided by a fresh read of the
+    /// capability container (see the [module docs](self)).
     ///
     /// # Panics
     ///
@@ -180,9 +220,11 @@ impl NfcHandle {
         session: &mut Session,
     ) -> Resume<Result<Outcome, NfcOpError>> {
         if let Some(op) = session.op.take() {
-            match self.tech(uid) {
-                Ok(tech) => session.procedure = Some(Procedure::new(op, tech)),
-                Err(e) => return Resume::Ready(Err(e)),
+            match self.world.detection_in_range(self.phone, uid) {
+                Some((tech, remembered)) => {
+                    session.procedure = Some(Procedure::new(op, tech, remembered))
+                }
+                None => return Resume::Ready(Err(NfcOpError::Link(LinkError::OutOfRange))),
             }
         }
         let procedure = session.procedure.as_mut().expect("a session resumes a procedure");
@@ -191,10 +233,21 @@ impl NfcHandle {
                 Resume::Ready(response) => response,
                 Resume::WaitUntil(at) => return Resume::WaitUntil(at),
             };
-            if let Some(result) = procedure.feed(response.as_deref()) {
-                session.procedure = None;
-                return Resume::Ready(result);
+            let Some(result) = procedure.feed(response.as_deref()) else { continue };
+            match &result {
+                // The re-detect rule (see the module docs).
+                Err(e) if procedure.remembered() && !matches!(e, NfcOpError::Link(_)) => {
+                    self.world.set_detection(self.phone, uid, None);
+                    procedure.redetect();
+                    continue;
+                }
+                Ok(_) if procedure.detection().is_some() => {
+                    self.world.set_detection(self.phone, uid, procedure.detection());
+                }
+                _ => {}
             }
+            session.procedure = None;
+            return Resume::Ready(result);
         }
     }
 
@@ -291,21 +344,6 @@ impl NfcHandle {
             }
         }
     }
-
-    /// The tag's technology if it is in the field.
-    fn tech(&self, uid: TagUid) -> Result<TagTech, NfcOpError> {
-        self.world.tag_tech_in_range(self.phone, uid).ok_or(NfcOpError::Link(LinkError::OutOfRange))
-    }
-}
-
-/// [`NfcHandle::transceive`] bound to one tag, for the [`proto`]
-/// procedures.
-struct Blocking<'a>(&'a NfcHandle, TagUid);
-
-impl Transceive for Blocking<'_> {
-    fn transceive(&mut self, command: &[u8]) -> Result<Vec<u8>, LinkError> {
-        self.0.transceive(self.1, command)
-    }
 }
 
 /// How far a resumable radio operation got.
@@ -399,6 +437,7 @@ mod tests {
     use crate::error::TagError;
     use crate::faults::{FaultKind, FaultPlan, FaultRates};
     use crate::link::LinkModel;
+    use crate::proto::{self, Transceive};
     use crate::tag::{TagEmulator, Type2Tag, Type4Tag};
 
     fn setup() -> (World, NfcHandle, TagUid) {
@@ -561,6 +600,25 @@ mod tests {
         }
     }
 
+    /// Runs `procedure` to its end over `link`, from a fresh detection
+    /// once more if it started from a remembered one and ended in an NDEF
+    /// error: the controller's rule, on a synchronous link.
+    fn drive(
+        link: &mut impl Transceive,
+        mut procedure: Procedure<Arc<[u8]>>,
+    ) -> (Result<Outcome, NfcOpError>, Procedure<Arc<[u8]>>) {
+        loop {
+            let response = link.transceive(procedure.command());
+            match procedure.feed(response.as_deref()) {
+                Some(Err(e)) if procedure.remembered() && !matches!(e, NfcOpError::Link(_)) => {
+                    procedure.redetect()
+                }
+                Some(result) => return (result, procedure),
+                None => {}
+            }
+        }
+    }
+
     #[test]
     fn resumed_procedures_send_what_proto_sends() {
         struct Recording<'a>(proto::DirectLink<'a>, Vec<Vec<u8>>);
@@ -573,23 +631,32 @@ mod tests {
 
         morena_obs::check::check(
             "resumed_procedures_send_what_proto_sends",
-            64,
+            96,
             |rng| {
                 let type4 = rng.random_bool(0.5);
+                let remembered = rng.random_bool(0.5);
                 let op = morena_obs::check::size(rng, 0..4);
                 let stored = morena_obs::check::bytes(rng, 0..701);
-                (type4, op, stored, morena_obs::check::bytes(rng, 0..701))
+                (type4, remembered, op, stored, morena_obs::check::bytes(rng, 0..701))
             },
-            |(type4, op, stored, message)| {
-                // The synchronous driver over a direct link.
+            |(type4, remembered, op, stored, message)| {
+                // The synchronous driver over a direct link, after a
+                // detection when the phone remembers one.
                 let mut tag = stocked(type4, &stored);
                 let tech = tag.tech();
                 let mut link = Recording(proto::DirectLink::new(&mut *tag), Vec::new());
-                let expected = match op {
-                    0 => proto::detect(&mut link, tech).map(Outcome::Info),
-                    1 => proto::read_ndef(&mut link, tech).map(Outcome::Bytes),
-                    2 => proto::write_ndef(&mut link, tech, &message).map(|()| Outcome::Done),
-                    _ => proto::make_read_only(&mut link, tech).map(|()| Outcome::Done),
+                let expected = if remembered {
+                    let (_, detect) = drive(&mut link, Procedure::new(NdefOp::Detect, tech, None));
+                    link.1.clear();
+                    let procedure = Procedure::new(ndef_op(op, &message), tech, detect.detection());
+                    drive(&mut link, procedure).0
+                } else {
+                    match op {
+                        0 => proto::detect(&mut link, tech).map(Outcome::Info),
+                        1 => proto::read_ndef(&mut link, tech).map(Outcome::Bytes),
+                        2 => proto::write_ndef(&mut link, tech, &message).map(|()| Outcome::Done),
+                        _ => proto::make_read_only(&mut link, tech).map(|()| Outcome::Done),
+                    }
                 };
                 let sent = link.1;
 
@@ -605,6 +672,12 @@ mod tests {
                 world.tap_tag(uid, phone);
                 let nfc = NfcHandle::new(world.clone(), phone);
                 let mut session = Session::default();
+                if remembered {
+                    session.start(NdefOp::Detect);
+                    assert!(resume_to_end(&nfc, &clock, uid, &mut session).is_ok());
+                    log.lock().unwrap().clear();
+                }
+                let exchanges = world.radio_stats().exchanges;
                 session.start(ndef_op(op, &message));
                 let result = resume_to_end(&nfc, &clock, uid, &mut session);
 
@@ -612,7 +685,7 @@ mod tests {
                 assert!(!session.is_running());
                 assert_eq!(*log.lock().unwrap(), sent);
                 // Each command reached the tag once.
-                assert_eq!(world.radio_stats().exchanges, sent.len() as u64);
+                assert_eq!(world.radio_stats().exchanges - exchanges, sent.len() as u64);
             },
         );
     }
@@ -668,6 +741,139 @@ mod tests {
         };
         assert_eq!(memory(a), memory(b));
         assert_eq!(a.clock().now(), b.clock().now());
+    }
+
+    /// A phone with a logged NTAG215 or 512-byte Type 4 tag holding
+    /// "before" in its field, on an instant link, and how many times the
+    /// tag's capability container has been read so far.
+    fn presence(type4: bool) -> (NfcHandle, TagUid, impl Fn() -> usize) {
+        let world = World::with_link(VirtualClock::shared(), LinkModel::instant(), 3);
+        let phone = world.add_phone("alice");
+        let log = Arc::new(Mutex::new(Vec::<Vec<u8>>::new()));
+        let mut tag: Box<dyn TagEmulator> = if type4 {
+            Box::new(Type4Tag::new(TagUid::from_seed(2), 512))
+        } else {
+            Box::new(Type2Tag::ntag215(TagUid::from_seed(1)))
+        };
+        let tech = tag.tech();
+        proto::write_ndef(&mut proto::DirectLink::new(&mut *tag), tech, b"before").unwrap();
+        let uid = world.add_tag(Box::new(Logged { tag, log: Arc::clone(&log) }));
+        world.tap_tag(uid, phone);
+        let cc_reads = move || {
+            let cc: &[u8] = match type4 {
+                true => &[0x00, 0xA4, 0x00, 0x0C, 0x02, 0xE1, 0x03],
+                false => &[0x30, 3],
+            };
+            log.lock().unwrap().iter().filter(|command| command[..] == *cc).count()
+        };
+        (NfcHandle::new(world, phone), uid, cc_reads)
+    }
+
+    #[test]
+    fn a_presence_is_detected_once() {
+        for type4 in [false, true] {
+            let (nfc, uid, cc_reads) = presence(type4);
+            let world = nfc.world().clone();
+            assert_eq!(nfc.ndef_read(uid).unwrap(), b"before");
+            nfc.ndef_write(uid, b"after").unwrap();
+            assert_eq!(nfc.ndef_read(uid).unwrap(), b"after");
+            assert_eq!(cc_reads(), 1, "one detection per presence");
+            // Detection and locking read the container afresh.
+            assert!(nfc.ndef_detect(uid).unwrap().writable);
+            assert_eq!(cc_reads(), 2);
+
+            // A new presence is detected again, whether the tag or the
+            // phone moved.
+            world.remove_tag_from_field(uid);
+            world.tap_tag(uid, nfc.phone());
+            assert_eq!(nfc.ndef_read(uid).unwrap(), b"after");
+            world.separate_phone(nfc.phone());
+            world.tap_tag(uid, nfc.phone());
+            assert_eq!(nfc.ndef_read(uid).unwrap(), b"after");
+            assert_eq!(cc_reads(), 4);
+            // So is a tag handled behind the radio's back.
+            world.with_tag(uid, |_| ());
+            nfc.ndef_write(uid, b"again").unwrap();
+            nfc.ndef_write(uid, b"once more").unwrap();
+            assert_eq!(cc_reads(), 5);
+        }
+    }
+
+    #[test]
+    fn a_tag_changed_mid_presence_fails_as_a_fresh_detection_decides() {
+        #[derive(Debug, Clone, Copy)]
+        enum Change {
+            LockedBehindTheRadio,
+            LockedByAnotherPhone,
+            UnformattedBehindTheRadio,
+        }
+        /// Changes the tag in alice's field, with or without alice
+        /// having read it first, then has alice write it. Returns the
+        /// write's result, the tag's memory, and alice's CC reads.
+        fn run(type4: bool, read_first: bool, change: Change) -> (NfcOpError, Vec<u8>, usize) {
+            let (alice, uid, cc_reads) = presence(type4);
+            let world = alice.world().clone();
+            let bob = NfcHandle::new(world.clone(), world.add_phone("bob"));
+            world.bring_phones_together(alice.phone(), bob.phone());
+            if read_first {
+                assert_eq!(alice.ndef_read(uid).unwrap(), b"before");
+            }
+            let reads_before = cc_reads();
+            let change_tag = |tag: &mut dyn Any| match (tag.downcast_mut(), change) {
+                (Some(t2), Change::LockedBehindTheRadio) => Type2Tag::set_read_only(t2, true),
+                (Some(t2), _) => Type2Tag::unformat(t2),
+                (None, Change::LockedBehindTheRadio) => {
+                    tag.downcast_mut::<Type4Tag>().unwrap().set_read_only(true)
+                }
+                (None, _) => tag.downcast_mut::<Type4Tag>().unwrap().unformat(),
+            };
+            match change {
+                Change::LockedByAnotherPhone => bob.ndef_make_read_only(uid).unwrap(),
+                _ => world.with_tag(uid, |tag| change_tag(tag.as_any_mut())).unwrap(),
+            }
+            let bob_reads = cc_reads() - reads_before;
+            let error = alice.ndef_write(uid, b"a longer message than before").unwrap_err();
+            let memory = world
+                .with_tag(uid, |tag| {
+                    let tag = tag.as_any_mut();
+                    match tag.downcast_mut::<Type2Tag>() {
+                        Some(t2) => [t2.transceive(&[0x30, 3]).unwrap(), t2.data_area()].concat(),
+                        None => tag.downcast_mut::<Type4Tag>().unwrap().ndef_file().to_vec(),
+                    }
+                })
+                .unwrap();
+            (error, memory, cc_reads() - bob_reads)
+        }
+
+        use std::any::Any;
+        for type4 in [false, true] {
+            for change in [
+                Change::LockedBehindTheRadio,
+                Change::LockedByAnotherPhone,
+                Change::UnformattedBehindTheRadio,
+            ] {
+                let expected = match change {
+                    Change::UnformattedBehindTheRadio => NfcOpError::NotNdef,
+                    _ => NfcOpError::ReadOnly,
+                };
+                let fresh = run(type4, false, change);
+                let remembered = run(type4, true, change);
+                let case = format!("type4 {type4}, {change:?}");
+                assert_eq!(fresh.0, expected, "{case}");
+                assert_eq!(remembered.0, expected, "{case}");
+                assert_eq!(remembered.1, fresh.1, "{case}: the tag bytes");
+                // Each write went to the container afresh to decide:
+                // after `with_tag` dropped alice's detection, or by the
+                // re-detect rule once bob's lock refused a write. (A
+                // Type 4 tag with no NDEF application fails at the
+                // application SELECT, before the container.)
+                let decide = match change {
+                    Change::UnformattedBehindTheRadio if type4 => 0,
+                    _ => 1,
+                };
+                assert_eq!((fresh.2, remembered.2), (decide, 1 + decide), "{case}");
+            }
+        }
     }
 
     #[test]

@@ -13,6 +13,19 @@
 //! * [`crate::controller`] drives it over the simulated radio, blocking
 //!   for each exchange's air time or resuming it from a scheduler.
 //!
+//! A procedure starts by reading the tag's capability container (CC) —
+//! Type 2's `READ 3`, Type 4's CC file — unless it is handed a
+//! [`Detection`], what an earlier procedure read from that CC. Android's
+//! NFC service detects a tag's NDEF once when the tag connects and serves
+//! later reads and writes from that detection; the controller keeps one
+//! [`Detection`] per tag in a phone's field for the same purpose and drops
+//! it when the tag leaves. From a detection, a read or a write the
+//! detection admits starts past the CC: Type 2 at `READ 4` or the first
+//! page write, Type 4 at `SELECT` application then `SELECT` NDEF file.
+//! [`NdefOp::Detect`] and [`NdefOp::MakeReadOnly`] always read the CC
+//! afresh. A Type 2 read keeps the data pages 4–6 that come back with the
+//! CC in the one `READ 3` response, so its first data `READ` is page 7.
+//!
 //! Because a write is *many* commands, a mid-operation field loss leaves
 //! the tag in a realistic torn state.
 
@@ -73,6 +86,50 @@ pub struct NdefTagInfo {
     pub capacity: usize,
     /// Whether the data area accepts writes.
     pub writable: bool,
+}
+
+/// What a procedure read from a tag's capability container: enough to
+/// read or write the tag without reading the container again. Hand it to
+/// [`Procedure::new`] for the same tag while it stays in the field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Detection {
+    tech: TagTech,
+    writable: bool,
+    /// Type 2's data area or Type 4's NDEF file size, in bytes.
+    limit: u16,
+    /// Type 4's READ BINARY and UPDATE BINARY limits and NDEF file id.
+    mle: u16,
+    mlc: u16,
+    file: u16,
+}
+
+impl Detection {
+    /// What the detection tells an application about the tag.
+    fn info(&self) -> NdefTagInfo {
+        let limit = usize::from(self.limit);
+        let capacity = match self.tech {
+            TagTech::Type2 => limit.saturating_sub(3).min(0xFE).max(limit.saturating_sub(5)),
+            TagTech::Type4 => limit - 2,
+        };
+        NdefTagInfo { tech: self.tech, capacity, writable: self.writable }
+    }
+
+    /// Whether a `len`-byte message may be written: `Ok`, or the refusal.
+    fn admits(&self, len: usize) -> Result<(), NfcOpError> {
+        if !self.writable {
+            return Err(NfcOpError::ReadOnly);
+        }
+        let overhead = match self.tech {
+            TagTech::Type2 => t2_tlv_header(len).1 + 1,
+            TagTech::Type4 => 2,
+        };
+        let limit = usize::from(self.limit);
+        if len + overhead > limit {
+            let capacity = limit.saturating_sub(overhead);
+            return Err(NfcOpError::CapacityExceeded { needed: len, capacity });
+        }
+        Ok(())
+    }
 }
 
 /// Runs the NDEF detection procedure for `tech`.
@@ -140,7 +197,7 @@ fn run<M: AsRef<[u8]>>(
     tech: TagTech,
     op: NdefOp<M>,
 ) -> Result<Outcome, NfcOpError> {
-    let mut procedure = Procedure::new(op, tech);
+    let mut procedure = Procedure::new(op, tech, None);
     loop {
         let response = link.transceive(procedure.command());
         if let Some(result) = procedure.feed(response.as_deref()) {
@@ -196,6 +253,17 @@ enum Phase {
     T4Lock,
 }
 
+/// Where a procedure's capability container came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cc {
+    /// Not read yet.
+    Unread,
+    /// Read from the tag by this procedure.
+    Read,
+    /// Handed to [`Procedure::new`] as a remembered [`Detection`].
+    Remembered,
+}
+
 /// One NDEF procedure as a sans-IO step machine.
 ///
 /// [`Procedure::new`] puts the first command in place. A driver sends
@@ -211,14 +279,9 @@ pub struct Procedure<M> {
     phase: Phase,
     command: [u8; 5 + T4_CHUNK],
     command_len: usize,
-    /// From the capability container. `limit` is Type 2's data area or
-    /// Type 4's NDEF file size; `mle`, `mlc` and `file` are Type 4's
-    /// READ and UPDATE BINARY limits and NDEF file id.
-    limit: usize,
-    writable: bool,
-    mle: usize,
-    mlc: usize,
-    file: u16,
+    /// The capability container's contents, and where they came from.
+    cc: Detection,
+    cc_from: Cc,
     /// A read's bytes so far: Type 2's data area, Type 4's message.
     data: Vec<u8>,
     /// Type 2: the next page, or the next byte of the TLV area to write.
@@ -230,30 +293,73 @@ pub struct Procedure<M> {
 
 impl<M: AsRef<[u8]>> Procedure<M> {
     /// The procedure for a tag of `tech`, its first command in place.
-    pub fn new(op: NdefOp<M>, tech: TagTech) -> Procedure<M> {
+    ///
+    /// A read, or a write that `remembered` admits, starts from
+    /// `remembered` — what an earlier procedure read from this tag's
+    /// capability container — and skips reading the container. Every
+    /// other procedure reads it afresh.
+    pub fn new(op: NdefOp<M>, tech: TagTech, remembered: Option<Detection>) -> Procedure<M> {
         let mut procedure = Procedure {
             op,
             phase: Phase::T2Cc,
             command: [0; 5 + T4_CHUNK],
             command_len: 0,
-            limit: 0,
-            writable: false,
-            mle: 0,
-            mlc: 0,
-            file: 0,
+            cc: Detection { tech, writable: false, limit: 0, mle: 0, mlc: 0, file: 0 },
+            cc_from: Cc::Unread,
             data: Vec::new(),
             next: 0,
             nlen: 0,
         };
-        if tech == TagTech::Type2 {
-            procedure.send(Phase::T2Cc, &[type2::CMD_READ, 3], &[]);
-        } else {
-            let header = [0x00, 0xA4, 0x04, 0x00, type4::NDEF_AID.len() as u8];
-            procedure.send(Phase::T4App, &header, &type4::NDEF_AID);
-            procedure.command[procedure.command_len] = 0x00; // Le
-            procedure.command_len += 1;
+        procedure.nlen = procedure.message().len();
+        let remembered = remembered.filter(|cc| {
+            cc.tech == tech
+                && match &procedure.op {
+                    NdefOp::Read => true,
+                    NdefOp::Write(_) => cc.admits(procedure.nlen).is_ok(),
+                    NdefOp::Detect | NdefOp::MakeReadOnly => false,
+                }
+        });
+        if let Some(cc) = remembered {
+            (procedure.cc, procedure.cc_from) = (cc, Cc::Remembered);
         }
+        match (tech, remembered) {
+            (TagTech::Type2, None) => procedure.send(Phase::T2Cc, &[type2::CMD_READ, 3], &[]),
+            (TagTech::Type2, Some(_)) => match procedure.op {
+                NdefOp::Write(_) => procedure.t2_write(),
+                _ => {
+                    procedure.next = 4;
+                    procedure.send(Phase::T2Read, &[type2::CMD_READ, 4], &[])
+                }
+            },
+            (TagTech::Type4, _) => {
+                let header = [0x00, 0xA4, 0x04, 0x00, type4::NDEF_AID.len() as u8];
+                procedure.send(Phase::T4App, &header, &type4::NDEF_AID);
+                procedure.command[procedure.command_len] = 0x00; // Le
+                procedure.command_len += 1;
+                None
+            }
+        };
         procedure
+    }
+
+    /// Starts the procedure over, reading the capability container
+    /// afresh: what a driver does when a procedure that started from a
+    /// remembered [`Detection`] ends in an NDEF error.
+    pub fn redetect(&mut self) {
+        let op = std::mem::replace(&mut self.op, NdefOp::Detect);
+        *self = Procedure::new(op, self.cc.tech, None);
+    }
+
+    /// Whether the procedure started from a remembered [`Detection`].
+    pub fn remembered(&self) -> bool {
+        self.cc_from == Cc::Remembered
+    }
+
+    /// What the procedure read from the tag's capability container, once
+    /// it has; `None` for one that started from a remembered detection.
+    /// After a lock, the detection says the tag is read-only.
+    pub fn detection(&self) -> Option<Detection> {
+        (self.cc_from == Cc::Read).then_some(self.cc)
     }
 
     /// The command to send next.
@@ -281,6 +387,10 @@ impl<M: AsRef<[u8]>> Procedure<M> {
         }
     }
 
+    fn limit(&self) -> usize {
+        usize::from(self.cc.limit)
+    }
+
     /// Puts `header` then `body` in place as the next command.
     fn send(&mut self, phase: Phase, header: &[u8], body: &[u8]) -> Option<Outcome> {
         self.phase = phase;
@@ -304,6 +414,12 @@ impl<M: AsRef<[u8]>> Procedure<M> {
         self.apdu(phase, 0xA4, 0x000C, &file.to_be_bytes())
     }
 
+    /// The lock took effect: the detection now says so.
+    fn locked(&mut self) -> Option<Outcome> {
+        self.cc.writable = false;
+        Some(Outcome::Done)
+    }
+
     /// The step after `r`, the response to the command out: `Ok(None)`
     /// once the next command is in place.
     fn advance(&mut self, r: &[u8]) -> Result<Option<Outcome>, NfcOpError> {
@@ -314,31 +430,24 @@ impl<M: AsRef<[u8]>> Procedure<M> {
             T2Cc => {
                 refused(r.len() >= 4, NfcOpError::Protocol("short CC read response"))?;
                 refused(r[0] == type2::CC_MAGIC, NfcOpError::NotNdef)?;
-                self.limit = r[2] as usize * 8;
-                self.writable = r[3] & 0x0F == 0;
+                self.cc.limit = u16::from(r[2]) * 8;
+                self.cc.writable = r[3] & 0x0F == 0;
+                self.cc_from = Cc::Read;
                 match self.op {
-                    NdefOp::Detect => {
-                        let short = self.limit.saturating_sub(3).min(0xFE);
-                        let capacity = short.max(self.limit.saturating_sub(5));
-                        let writable = self.writable;
-                        Some(Outcome::Info(NdefTagInfo {
-                            tech: TagTech::Type2,
-                            capacity,
-                            writable,
-                        }))
-                    }
+                    NdefOp::Detect => Some(Outcome::Info(self.cc.info())),
                     NdefOp::Read => {
-                        self.next = 4;
+                        // The response runs on into data pages 4–6.
+                        refused(
+                            r.len() == 16,
+                            NfcOpError::Protocol("READ response was not 16 bytes"),
+                        )?;
+                        self.data.extend_from_slice(&r[4..]);
+                        self.data.truncate(self.limit());
+                        self.next = 7;
                         self.t2_read()?
                     }
                     NdefOp::Write(_) => {
-                        refused(self.writable, NfcOpError::ReadOnly)?;
-                        let needed = self.message().len();
-                        let overhead = t2_tlv_header(needed).1 + 1;
-                        if needed + overhead > self.limit {
-                            let capacity = self.limit.saturating_sub(overhead);
-                            return Err(NfcOpError::CapacityExceeded { needed, capacity });
-                        }
+                        self.cc.admits(self.nlen)?;
                         self.t2_write()
                     }
                     NdefOp::MakeReadOnly => {
@@ -350,23 +459,25 @@ impl<M: AsRef<[u8]>> Procedure<M> {
             T2Read => {
                 refused(r.len() == 16, NfcOpError::Protocol("READ response was not 16 bytes"))?;
                 self.data.extend_from_slice(r);
-                self.data.truncate(self.limit);
+                self.data.truncate(self.limit());
                 self.next += 4;
                 self.t2_read()?
             }
             T2Write | T2Lock => {
                 refused(r == [type2::ACK], NfcOpError::ReadOnly)?;
                 self.next += 4;
-                let area = t2_tlv_header(self.message().len()).1 + self.message().len() + 1;
-                match self.phase == T2Lock || self.next >= area {
-                    true => Some(Outcome::Done),
-                    false => self.t2_write(),
+                let area = t2_tlv_header(self.nlen).1 + self.nlen + 1;
+                match self.phase {
+                    T2Lock => self.locked(),
+                    _ if self.next >= area => Some(Outcome::Done),
+                    _ => self.t2_write(),
                 }
             }
             T4App | T4Cc => {
                 refused(sw_ok, NfcOpError::NotNdef)?;
-                match self.phase {
-                    T4App => self.select(T4Cc, type4::CC_FILE_ID),
+                match (self.phase, self.cc_from) {
+                    (T4App, Cc::Remembered) => self.select(T4Ndef, self.cc.file),
+                    (T4App, _) => self.select(T4Cc, type4::CC_FILE_ID),
                     _ => self.apdu(T4ReadCc, 0xB0, 0, &[15]),
                 }
             }
@@ -375,29 +486,21 @@ impl<M: AsRef<[u8]>> Procedure<M> {
                 let tlv = r[7] == 0x04 && r[8] == 0x06;
                 refused(tlv, NfcOpError::Protocol("CC lacks NDEF file control TLV"))?;
                 let word = |i: usize| u16::from_be_bytes([r[i], r[i + 1]]);
-                (self.mle, self.mlc) = (word(3) as usize, word(5) as usize);
-                (self.file, self.limit) = (word(9), word(11) as usize);
-                let valid = self.mle != 0 && self.mlc != 0 && self.limit >= 2;
+                let (mle, mlc, file, limit) = (word(3), word(5), word(9), word(11));
+                let valid = mle != 0 && mlc != 0 && limit >= 2;
                 refused(valid, NfcOpError::Protocol("CC limits are invalid"))?;
-                self.writable = r[14] == 0x00;
-                self.nlen = self.message().len();
+                let writable = r[14] == 0x00;
+                self.cc = Detection { tech: TagTech::Type4, writable, limit, mle, mlc, file };
+                self.cc_from = Cc::Read;
                 match self.op {
-                    NdefOp::Detect => Some(Outcome::Info(NdefTagInfo {
-                        tech: TagTech::Type4,
-                        capacity: self.limit - 2,
-                        writable: self.writable,
-                    })),
-                    NdefOp::Read => self.select(T4Ndef, self.file),
+                    NdefOp::Detect => Some(Outcome::Info(self.cc.info())),
+                    NdefOp::Read => self.select(T4Ndef, file),
                     NdefOp::Write(_) => {
-                        refused(self.writable, NfcOpError::ReadOnly)?;
-                        if self.nlen + 2 > self.limit {
-                            let (needed, capacity) = (self.nlen, self.limit - 2);
-                            return Err(NfcOpError::CapacityExceeded { needed, capacity });
-                        }
-                        self.select(T4Ndef, self.file)
+                        self.cc.admits(self.nlen)?;
+                        self.select(T4Ndef, file)
                     }
                     NdefOp::MakeReadOnly => {
-                        refused(self.writable, NfcOpError::ReadOnly)?;
+                        refused(writable, NfcOpError::ReadOnly)?;
                         self.select(T4CcToLock, type4::CC_FILE_ID)
                     }
                 }
@@ -415,7 +518,7 @@ impl<M: AsRef<[u8]>> Procedure<M> {
             T4Nlen => {
                 refused(sw_ok && r.len() == 4, NfcOpError::Protocol("NLEN read failed"))?;
                 self.nlen = u16::from_be_bytes([r[0], r[1]]) as usize;
-                let fits = self.nlen + 2 <= self.limit;
+                let fits = self.nlen + 2 <= self.limit();
                 refused(fits, NfcOpError::Protocol("NLEN exceeds the NDEF file"))?;
                 self.data = Vec::with_capacity(self.nlen);
                 self.next = 2;
@@ -443,9 +546,13 @@ impl<M: AsRef<[u8]>> Procedure<M> {
                     self.apdu(T4Write, 0xD6, self.next, data)
                 }
             }
-            T4Length | T4Lock => {
+            T4Length => {
                 refused(sw_ok, NfcOpError::ReadOnly)?;
                 Some(Outcome::Done)
+            }
+            T4Lock => {
+                refused(sw_ok, NfcOpError::ReadOnly)?;
+                self.locked()
             }
             T4CcToLock => {
                 refused(sw_ok, NfcOpError::Protocol("CC file select failed"))?;
@@ -457,12 +564,12 @@ impl<M: AsRef<[u8]>> Procedure<M> {
     /// Type 2 reads lazily, 16 bytes at a time, and stops as soon as the
     /// NDEF TLV is complete — real readers do not sweep the whole EEPROM.
     fn t2_read(&mut self) -> Result<Option<Outcome>, NfcOpError> {
-        if let Some(payload) = t2_find_ndef(&self.data, self.limit)? {
+        if let Some(payload) = t2_find_ndef(&self.data, self.limit())? {
             self.data.truncate(payload.end);
             self.data.drain(..payload.start);
             return Ok(Some(Outcome::Bytes(std::mem::take(&mut self.data))));
         }
-        if self.data.len() >= self.limit {
+        if self.data.len() >= self.limit() {
             return Err(NfcOpError::Protocol("missing NDEF TLV"));
         }
         Ok(self.send(Phase::T2Read, &[type2::CMD_READ, self.next as u8], &[]))
@@ -483,7 +590,7 @@ impl<M: AsRef<[u8]>> Procedure<M> {
     }
 
     fn t4_read_len(&self) -> usize {
-        (self.nlen - self.data.len()).min(self.mle).min(255)
+        (self.nlen - self.data.len()).min(usize::from(self.cc.mle)).min(255)
     }
 
     fn t4_read(&mut self) -> Option<Outcome> {
@@ -498,7 +605,7 @@ impl<M: AsRef<[u8]>> Procedure<M> {
     /// The message bytes the UPDATE BINARY at file offset `next` carries.
     fn t4_chunk(&self) -> Range<usize> {
         let start = self.next - 2;
-        start..(start + self.mlc.min(T4_CHUNK)).min(self.nlen)
+        start..(start + usize::from(self.cc.mlc).min(T4_CHUNK)).min(self.nlen)
     }
 }
 
@@ -781,5 +888,126 @@ mod tests {
             read_ndef(&mut DirectLink::new(&mut tag), TagTech::Type2).unwrap(),
             vec![0xBE, 0xEF]
         );
+    }
+
+    /// Runs `procedure` to its end over `tag`, returning its result and
+    /// the commands it sent.
+    fn drive(
+        tag: &mut dyn TagEmulator,
+        procedure: &mut Procedure<&[u8]>,
+    ) -> (Result<Outcome, NfcOpError>, Vec<Vec<u8>>) {
+        let mut link = DirectLink::new(tag);
+        let mut sent = Vec::new();
+        loop {
+            sent.push(procedure.command().to_vec());
+            let response = link.transceive(procedure.command());
+            if let Some(result) = procedure.feed(response.as_deref()) {
+                return (result, sent);
+            }
+        }
+    }
+
+    /// What a fresh detection of `tag` reads from its capability container.
+    fn detection(tag: &mut dyn TagEmulator) -> Detection {
+        let mut procedure = Procedure::new(NdefOp::Detect, tag.tech(), None);
+        let (result, _) = drive(tag, &mut procedure);
+        assert!(matches!(result, Ok(Outcome::Info(_))));
+        procedure.detection().expect("read from the tag")
+    }
+
+    #[test]
+    fn a_type2_read_keeps_the_data_pages_the_cc_read_returns() {
+        let mut tag = Type2Tag::ntag215(TagUid::from_seed(30));
+        // A message within pages 4-6 takes the one READ 3.
+        write_ndef(&mut DirectLink::new(&mut tag), TagTech::Type2, b"1234567").unwrap();
+        let mut read = Procedure::new(NdefOp::Read, TagTech::Type2, None);
+        let (result, sent) = drive(&mut tag, &mut read);
+        assert_eq!(result, Ok(Outcome::Bytes(b"1234567".to_vec())));
+        assert_eq!(sent, [[type2::CMD_READ, 3]]);
+        // A longer one goes on at page 7.
+        write_ndef(&mut DirectLink::new(&mut tag), TagTech::Type2, &[7; 40]).unwrap();
+        let mut read = Procedure::new(NdefOp::Read, TagTech::Type2, None);
+        let (result, sent) = drive(&mut tag, &mut read);
+        assert_eq!(result, Ok(Outcome::Bytes(vec![7; 40])));
+        assert_eq!(sent, [[type2::CMD_READ, 3], [type2::CMD_READ, 7], [type2::CMD_READ, 11]]);
+    }
+
+    #[test]
+    fn a_remembered_detection_skips_the_capability_container() {
+        let select_ndef = [0x00, 0xA4, 0x00, 0x0C, 0x02, 0xE1, 0x04];
+        for mut tag in [
+            Box::new(Type2Tag::ntag215(TagUid::from_seed(31))) as Box<dyn TagEmulator>,
+            Box::new(Type4Tag::new(TagUid::from_seed(32), 512)),
+        ] {
+            let tech = tag.tech();
+            let cc = detection(&mut *tag);
+            let message = vec![0x42; 300];
+            let mut write = Procedure::new(NdefOp::Write(&message[..]), tech, Some(cc));
+            assert!(write.remembered());
+            let (result, sent) = drive(&mut *tag, &mut write);
+            assert_eq!(result, Ok(Outcome::Done));
+            assert_eq!(write.detection(), None, "nothing new to remember");
+            let mut read = Procedure::new(NdefOp::Read, tech, Some(cc));
+            let (result, read_sent) = drive(&mut *tag, &mut read);
+            assert_eq!(result, Ok(Outcome::Bytes(message.clone())));
+            let mut fresh = Procedure::new(NdefOp::Read, tech, None);
+            let (_, fresh_sent) = drive(&mut *tag, &mut fresh);
+            if tech == TagTech::Type2 {
+                assert_eq!(sent[0][..2], [type2::CMD_WRITE, 4]);
+                assert_eq!(read_sent[0], [type2::CMD_READ, 4]);
+                // The 304-byte TLV: 19 READs from page 4, or READ 3
+                // (12 data bytes) and 19 more from page 7.
+                assert_eq!((read_sent.len(), fresh_sent.len()), (19, 20));
+            } else {
+                assert_eq!(sent[1], select_ndef);
+                assert_eq!(read_sent[1], select_ndef);
+                assert_eq!(read_sent.len() + 2, fresh_sent.len());
+            }
+        }
+    }
+
+    #[test]
+    fn detect_lock_and_refused_writes_read_the_capability_container() {
+        for mut tag in [
+            Box::new(Type2Tag::ntag213(TagUid::from_seed(33))) as Box<dyn TagEmulator>,
+            Box::new(Type4Tag::new(TagUid::from_seed(34), 64)),
+        ] {
+            let tech = tag.tech();
+            let cc = detection(&mut *tag);
+            let first_fresh =
+                Procedure::new(NdefOp::<&[u8]>::Detect, tech, None).command().to_vec();
+            let fresh = |op: NdefOp<&[u8]>| {
+                let procedure = Procedure::new(op, tech, Some(cc));
+                assert!(!procedure.remembered());
+                procedure.command().to_vec()
+            };
+            assert_eq!(fresh(NdefOp::Detect), first_fresh);
+            assert_eq!(fresh(NdefOp::Write(&[0; 200])), first_fresh, "too large for the record");
+            // The lock leaves a detection that refuses writes.
+            let mut lock = Procedure::new(NdefOp::MakeReadOnly, tech, Some(cc));
+            assert!(!lock.remembered());
+            assert_eq!(drive(&mut *tag, &mut lock).0, Ok(Outcome::Done));
+            let locked = lock.detection().expect("read from the tag");
+            assert!(!locked.info().writable);
+            assert_eq!(locked.info(), detection(&mut *tag).info());
+            let mut write = Procedure::new(NdefOp::Write(&b"x"[..]), tech, Some(locked));
+            assert!(!write.remembered());
+            assert_eq!(drive(&mut *tag, &mut write).0, Err(NfcOpError::ReadOnly));
+        }
+    }
+
+    #[test]
+    fn redetect_starts_over_from_the_capability_container() {
+        let mut tag = Type2Tag::ntag215(TagUid::from_seed(35));
+        let cc = detection(&mut tag);
+        // Locked behind the remembered detection's back: the page write
+        // is refused, and the fresh run decides the error.
+        tag.set_read_only(true);
+        let mut write = Procedure::new(NdefOp::Write(&b"late"[..]), TagTech::Type2, Some(cc));
+        assert_eq!(drive(&mut tag, &mut write).0, Err(NfcOpError::ReadOnly));
+        write.redetect();
+        assert!(!write.remembered());
+        assert_eq!(write.command(), [type2::CMD_READ, 3]);
+        assert_eq!(drive(&mut tag, &mut write).0, Err(NfcOpError::ReadOnly));
     }
 }

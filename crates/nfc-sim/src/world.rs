@@ -27,6 +27,7 @@ use morena_obs::{EventKind, Recorder, Rng, NO_OPCODE};
 use crate::faults::{self, FaultKind, FaultPlan, FaultStats};
 use crate::geometry::Point;
 use crate::link::LinkModel;
+use crate::proto::Detection;
 use crate::tag::{TagEmulator, TagTech, TagUid};
 use crate::trace::{TraceBuffer, TraceEntry, TraceEvent};
 
@@ -97,6 +98,12 @@ struct PhoneSlot {
     name: String,
     position: Point,
     sinks: Vec<Sink>,
+    /// Not physics but the phone's NFC stack state: what it detected on
+    /// each tag in its field (see [`crate::controller`]). A key is added
+    /// when a procedure starts on a tag in the field, with `None` until a
+    /// detection is remembered, and goes when the tag leaves the field,
+    /// leaves the world, or is handled through [`World::with_tag`].
+    detected: HashMap<TagUid, Option<Detection>>,
 }
 
 /// A subscription to one phone's feed (see [`World::add_sink`]).
@@ -193,6 +200,13 @@ impl WorldState {
 
     fn tag_in_range(&self, phone: PhoneId, uid: TagUid) -> bool {
         self.tag_tech_in_range(phone, uid).is_some()
+    }
+
+    /// Drops every phone's detection of `uid`.
+    fn forget_tag(&mut self, uid: TagUid) {
+        for slot in self.phones.values_mut() {
+            slot.detected.remove(&uid);
+        }
     }
 
     /// Delivers `command` to the tag and discards its response.
@@ -457,7 +471,13 @@ impl World {
         state.next_phone += 1;
         // Spread fresh phones out so they are not accidentally in range.
         let position = Point::new(1000.0 * (id.0 as f64 + 1.0), 0.0);
-        state.phones.insert(id, PhoneSlot { name: name.to_owned(), position, sinks: Vec::new() });
+        let slot = PhoneSlot {
+            name: name.to_owned(),
+            position,
+            sinks: Vec::new(),
+            detected: HashMap::new(),
+        };
+        state.phones.insert(id, slot);
         id
     }
 
@@ -490,6 +510,7 @@ impl World {
     pub fn take_tag(&self, uid: TagUid) -> Option<Box<dyn TagEmulator>> {
         let mut state = self.state.lock();
         let slot = state.tags.remove(&uid)?;
+        state.forget_tag(uid);
         let watchers: Vec<PhoneId> = state
             .phones
             .iter()
@@ -519,9 +540,11 @@ impl World {
     }
 
     /// Runs `f` with mutable access to a tag's emulator — test/debug
-    /// introspection that bypasses the radio.
+    /// introspection that bypasses the radio. Since `f` may change the
+    /// tag, every phone forgets what it detected on it.
     pub fn with_tag<R>(&self, uid: TagUid, f: impl FnOnce(&mut dyn TagEmulator) -> R) -> Option<R> {
         let mut state = self.state.lock();
+        state.forget_tag(uid);
         state.tags.get_mut(&uid).map(|slot| f(slot.emulator.as_mut()))
     }
 
@@ -557,6 +580,7 @@ impl World {
                 state.emit(phone, NfcEvent::TagEntered { uid, tech });
             } else {
                 left_any = true;
+                state.phones.get_mut(&phone).expect("checked").detected.remove(&uid);
                 state.trace(now, TraceEvent::TagLeft { phone, uid });
                 self.obs_emit(now, || EventKind::PhysTagLeft {
                     phone: phone.as_u64(),
@@ -611,6 +635,7 @@ impl World {
                 });
                 state.emit(phone, NfcEvent::TagEntered { uid, tech });
             } else {
+                state.phones.get_mut(&phone).expect("checked").detected.remove(&uid);
                 state.trace(now, TraceEvent::TagLeft { phone, uid });
                 self.obs_emit(now, || EventKind::PhysTagLeft {
                     phone: phone.as_u64(),
@@ -707,6 +732,32 @@ impl World {
     /// lookup: its cost does not grow with the number of tags.
     pub fn tag_tech_in_range(&self, phone: PhoneId, uid: TagUid) -> Option<TagTech> {
         self.state.lock().tag_tech_in_range(phone, uid)
+    }
+
+    /// The technology of `uid` and `phone`'s remembered detection of it,
+    /// if the tag is in `phone`'s field: keyed lookups under one lock
+    /// acquisition. Opens the phone's entry for the tag, so that a
+    /// detection remembered later lands only if the tag stayed in the
+    /// field.
+    pub(crate) fn detection_in_range(
+        &self,
+        phone: PhoneId,
+        uid: TagUid,
+    ) -> Option<(TagTech, Option<Detection>)> {
+        let mut state = self.state.lock();
+        let tech = state.tag_tech_in_range(phone, uid)?;
+        let slot = state.phones.get_mut(&phone)?;
+        Some((tech, *slot.detected.entry(uid).or_default()))
+    }
+
+    /// Sets what `phone` detected on `uid` (`None` forgets it), if the
+    /// entry [`World::detection_in_range`] opened for the tag is still
+    /// there.
+    pub(crate) fn set_detection(&self, phone: PhoneId, uid: TagUid, detection: Option<Detection>) {
+        let mut state = self.state.lock();
+        if let Some(entry) = state.phones.get_mut(&phone).and_then(|p| p.detected.get_mut(&uid)) {
+            *entry = detection;
+        }
     }
 
     /// All tags currently in `phone`'s field.

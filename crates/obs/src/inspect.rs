@@ -172,6 +172,10 @@ pub struct ShardSnapshot {
     /// ready queue and core freelist) — not the loops it polls, which
     /// report themselves.
     pub mem_bytes: u64,
+    /// Of `mem_bytes`, the core freelist's: it grows with the most ops
+    /// the shard had in flight at once, so it tracks scheduling as much
+    /// as the population.
+    pub pool_bytes: u64,
 }
 
 /// A discoverer's identity-map state.
@@ -1073,6 +1077,7 @@ mod tests {
             since_poll_nanos: Some(10_000),
             pool_free: 0,
             mem_bytes: 0,
+            pool_bytes: 0,
         };
         let wedged = ShardSnapshot {
             index: 1,
@@ -1081,6 +1086,7 @@ mod tests {
             since_poll_nanos: Some(5_000_000_000),
             pool_free: 0,
             mem_bytes: 0,
+            pool_bytes: 0,
         };
         let idle = ShardSnapshot {
             index: 2,
@@ -1089,6 +1095,7 @@ mod tests {
             since_poll_nanos: None,
             pool_free: 0,
             mem_bytes: 0,
+            pool_bytes: 0,
         };
         let snap = InspectorSnapshot {
             at_nanos: 0,
@@ -1175,6 +1182,7 @@ mod tests {
                         since_poll_nanos: None,
                         pool_free: 0,
                         mem_bytes: 128,
+                        pool_bytes: 0,
                     }),
                 },
                 ComponentEntry {

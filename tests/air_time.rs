@@ -7,6 +7,7 @@
 //! the middleware is bounded in real time, so a worker that blocked on
 //! the clock would fail the test rather than hang it.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -18,6 +19,9 @@ use morena::sim::tag::type2;
 
 /// The longest any single wait on the middleware may take in real time.
 const BOUND: Duration = Duration::from_secs(5);
+
+/// The most deadlines [`Rig::step_until`] steps through.
+const MAX_STEPS: usize = 1000;
 
 fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
     let deadline = Instant::now() + BOUND;
@@ -51,6 +55,8 @@ struct Rig {
     world: World,
     phone: PhoneId,
     tags: Vec<(TagReference<StringConverter>, TagUid)>,
+    /// Writes submitted.
+    writes: Cell<usize>,
     /// Writes whose success listener has run.
     done: Arc<AtomicUsize>,
 }
@@ -83,10 +89,11 @@ impl Rig {
                 (tag, uid)
             })
             .collect();
-        Rig { clock, world, phone, tags, done: Arc::new(AtomicUsize::new(0)) }
+        Rig { clock, world, phone, tags, writes: Cell::new(0), done: Arc::new(AtomicUsize::new(0)) }
     }
 
     fn write(&self, tag: &TagReference<StringConverter>, text: &str) {
+        self.writes.set(self.writes.get() + 1);
         let done = Arc::clone(&self.done);
         tag.write(
             text.to_string(),
@@ -139,6 +146,29 @@ impl Rig {
         });
     }
 
+    /// Steps from deadline to deadline until `until` holds. Panics with
+    /// the exchange count reached when it still does not hold after
+    /// [`MAX_STEPS`] steps, or once every write is done and nothing waits
+    /// on the clock.
+    fn step_until(&self, what: &str, mut until: impl FnMut() -> bool) {
+        let writes = self.writes.get();
+        for _ in 0..MAX_STEPS {
+            if until() {
+                return;
+            }
+            if self.done() == writes && self.clock.next_deadline().is_none() {
+                break;
+            }
+            self.step(writes);
+        }
+        assert!(
+            until(),
+            "never reached {what}: stopped at {} exchanges with {}/{writes} writes done",
+            self.exchanges(),
+            self.done()
+        );
+    }
+
     /// The tag's first 176 bytes of memory, read straight off the
     /// emulator.
     fn memory(&self, uid: TagUid) -> Vec<u8> {
@@ -175,9 +205,7 @@ fn one_worker_keeps_two_exchanges_on_the_air() {
         rig.exchanges() == 2 && rig.clock.finite_waiters() == 1
     });
     assert_eq!(rig.clock.now(), started, "no time passed");
-    while rig.done() < 2 {
-        rig.step(2);
-    }
+    rig.step_until("both writes done", || rig.done() == 2);
     assert_eq!(rig.clock.now().saturating_since(started), air_time, "the writes overlapped");
 }
 
@@ -195,9 +223,7 @@ fn effects_land_when_the_air_time_ends() {
 
     rig.write(tag, first);
     rig.settle(1);
-    while rig.exchanges() < commands {
-        rig.step(1);
-    }
+    rig.step_until("the last command on the air", || rig.exchanges() == commands);
     // The last command is on the air: nothing of it is on the tag until
     // its done_at.
     let before = rig.memory(uid);
@@ -209,11 +235,14 @@ fn effects_land_when_the_air_time_ends() {
     assert_ne!(rig.memory(uid), before, "the last command never landed");
     assert_eq!(rig.stored(uid), encode(first));
 
+    // Reading the tag through `with_tag` above dropped the phone's
+    // detection of it, so the second write reads the capability container
+    // again: the same commands as the first.
     rig.write(tag, second);
     rig.settle(2);
-    while rig.exchanges() < 2 * commands {
-        rig.step(2);
-    }
+    rig.step_until("the second write's last command on the air", || {
+        rig.exchanges() == 2 * commands
+    });
     let before = rig.memory(uid);
     let landing = rig.clock.next_deadline().expect("the last command's done_at");
     rig.world.remove_tag_from_field(uid);
@@ -227,9 +256,7 @@ fn effects_land_when_the_air_time_ends() {
     assert!(torn != encode(first) && torn != encode(second), "the tag is torn: {torn:?}");
 
     rig.world.tap_tag(uid, rig.phone);
-    while rig.done() < 2 {
-        rig.step(2);
-    }
+    rig.step_until("the retry done", || rig.done() == 2);
     assert_eq!(rig.stored(uid), encode(second), "the retry repaired the tag");
 }
 
@@ -271,12 +298,8 @@ fn an_early_wake_of_an_attempt_on_the_air_arms_no_second_timer() {
 
     // Counted by the worker before it parks again, unlike `done`, which
     // the main thread counts.
-    while tag.stats().snapshot().succeeded < 1 {
-        rig.step(4);
-    }
+    rig.step_until("the first write done", || tag.stats().snapshot().succeeded == 1);
     assert_eq!(rig.counter("scheduler.timer_fires"), commands, "one fire per exchange");
-    while rig.done() < 4 {
-        rig.step(4);
-    }
+    rig.step_until("all four writes done", || rig.done() == 4);
     assert_eq!(rig.stored(*uid), encode("fourth"));
 }

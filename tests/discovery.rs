@@ -2,7 +2,9 @@
 //! pool: a burst of taps keeps every pre-read on the air at once, a
 //! stopped or dropped discoverer delivers nothing for a read still on the
 //! air, a tag sighted again mid-read is read once more after the read
-//! ends, and a tag that leaves mid-read leaves nothing behind.
+//! ends, and a tag that leaves mid-read leaves nothing behind. A write
+//! through a discovered reference starts from the pre-read's detection of
+//! the tag.
 //!
 //! Every scenario runs on one worker and a manual `VirtualClock`, which
 //! the test steps from one registered deadline to the next, so elapsed
@@ -10,13 +12,16 @@
 //! bounded in real time, so a worker that blocked on the clock fails the
 //! test rather than hanging it.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 use morena::obs::inspect::ComponentSnapshot;
 use morena::prelude::*;
 use morena::sim::clock::SimInstant;
-use morena::sim::proto::{write_ndef, DirectLink};
+use morena::sim::error::{LinkError, TagError};
+use morena::sim::proto::{read_ndef, write_ndef, DirectLink, Transceive};
+use morena::sim::tag::TagEmulator;
 
 /// The longest any single wait on the middleware may take in real time.
 const BOUND: Duration = Duration::from_secs(5);
@@ -294,4 +299,113 @@ fn a_tag_leaving_mid_pre_read_delivers_nothing_and_leaks_nothing() {
     }
     assert_eq!(rig.seen(), [Seen::Detected(uid)]);
     assert_eq!(rig.exchanges(), 1 + per_read, "the next tap read the tag afresh");
+}
+
+/// A tag that counts the reads of its capability container: Type 2's
+/// `READ 3`, Type 4's `SELECT` of the CC file.
+#[derive(Debug)]
+struct CcCounted {
+    tag: Box<dyn TagEmulator>,
+    cc_reads: Arc<AtomicUsize>,
+}
+
+const T4_SELECT_CC: [u8; 7] = [0x00, 0xA4, 0x00, 0x0C, 0x02, 0xE1, 0x03];
+
+impl TagEmulator for CcCounted {
+    fn uid(&self) -> TagUid {
+        self.tag.uid()
+    }
+    fn tech(&self) -> TagTech {
+        self.tag.tech()
+    }
+    fn transceive(&mut self, command: &[u8]) -> Result<Vec<u8>, TagError> {
+        if command == [0x30, 3] || command == T4_SELECT_CC {
+            self.cc_reads.fetch_add(1, Ordering::SeqCst);
+        }
+        self.tag.transceive(command)
+    }
+    fn on_field_lost(&mut self) {
+        self.tag.on_field_lost();
+    }
+    fn ndef_capacity(&self) -> usize {
+        self.tag.ndef_capacity()
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self.tag.as_any_mut()
+    }
+}
+
+/// Counts the exchanges over a direct link.
+struct Counting<'a>(DirectLink<'a>, u64);
+
+impl Transceive for Counting<'_> {
+    fn transceive(&mut self, command: &[u8]) -> Result<Vec<u8>, LinkError> {
+        self.1 += 1;
+        self.0.transceive(command)
+    }
+}
+
+/// A tap then a write through the discovered reference cost the pre-read
+/// and the write's own commands, and read the capability container once:
+/// the write starts from what the pre-read detected.
+#[test]
+fn a_tap_then_a_write_reads_the_capability_container_once() {
+    for tech in [TagTech::Type2, TagTech::Type4] {
+        let text = |t: &str| {
+            StringConverter::plain_text().to_message(&t.to_string()).expect("encodable").to_bytes()
+        };
+        let fresh_tag = || -> Box<dyn TagEmulator> {
+            let mut tag: Box<dyn TagEmulator> = match tech {
+                TagTech::Type2 => Box::new(Type2Tag::ntag215(TagUid::from_seed(7))),
+                TagTech::Type4 => Box::new(Type4Tag::new(TagUid::from_seed(7), 512)),
+            };
+            write_ndef(&mut DirectLink::new(&mut *tag), tech, &text("badge-07")).expect("fits");
+            tag
+        };
+        // The commands of a fresh read, and of a fresh write less its
+        // capability-container exchanges (Type 4: SELECT CC, READ CC).
+        let mut tag = fresh_tag();
+        let mut link = Counting(DirectLink::new(&mut *tag), 0);
+        read_ndef(&mut link, tech).expect("direct link");
+        let pre_read = link.1;
+        write_ndef(&mut link, tech, &text("stamped")).expect("direct link");
+        let write = link.1 - pre_read - if tech == TagTech::Type2 { 1 } else { 2 };
+
+        let rig = Rig::new();
+        let cc_reads = Arc::new(AtomicUsize::new(0));
+        let uid = rig
+            .world
+            .add_tag(Box::new(CcCounted { tag: fresh_tag(), cc_reads: Arc::clone(&cc_reads) }));
+        rig.world.tap_tag(uid, rig.phone);
+        let seen = || !rig.seen().is_empty();
+        for _ in 0..100 {
+            if seen() {
+                break;
+            }
+            rig.step(seen);
+        }
+        assert_eq!(rig.seen(), [Seen::Detected(uid)], "{tech}");
+        assert_eq!(rig.exchanges(), pre_read, "{tech}: the pre-read");
+
+        let written = Arc::new(AtomicUsize::new(0));
+        let done = Arc::clone(&written);
+        let reference = rig.disco().reference_for(uid).expect("minted");
+        reference.write(
+            "stamped".to_string(),
+            move |_| {
+                done.fetch_add(1, Ordering::SeqCst);
+            },
+            |_, failure| panic!("the write must not fail: {failure}"),
+        );
+        let finished = || written.load(Ordering::SeqCst) == 1;
+        for _ in 0..100 {
+            if finished() {
+                break;
+            }
+            rig.step(finished);
+        }
+        assert!(finished(), "{tech}: the write finished");
+        assert_eq!(rig.exchanges(), pre_read + write, "{tech}: pre-read + the write's commands");
+        assert_eq!(cc_reads.load(Ordering::SeqCst), 1, "{tech}: one detection");
+    }
 }
