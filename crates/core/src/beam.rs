@@ -28,7 +28,7 @@ use crate::convert::TagDataConverter;
 use crate::eventloop::{
     Attempted, EventLoop, OpExecutor, OpFailure, OpRequest, OpResponse, OpStats, Progress,
 };
-use crate::future::UnitFuture;
+use crate::future::{OpFuture, UnitFuture};
 use crate::policy::Policy;
 use crate::router::{RouteGuard, RouteKey};
 use crate::tracewire;
@@ -142,7 +142,6 @@ impl<C: TagDataConverter> Beamer<C> {
         let event_loop = EventLoop::spawn(
             ctx.execution(),
             Arc::clone(ctx.clock()),
-            ctx.handler(),
             policy,
             PushExecutor { nfc: ctx.nfc().clone(), to: None },
             // Beaming is undirected; `*` tells the correlator to count
@@ -219,19 +218,8 @@ impl<C: TagDataConverter> Beamer<C> {
         F: FnOnce() + Send + 'static,
         G: FnOnce(OpFailure) + Send + 'static,
     {
-        let bytes = match self.inner.converter.to_message(&value) {
-            Ok(message) => message.to_bytes(),
-            Err(e) => {
-                self.inner.ctx.handler().post(move || on_failure(OpFailure::InvalidData(e)));
-                return;
-            }
-        };
-        self.inner.event_loop.submit(
-            OpRequest::Push(bytes.into()),
-            timeout,
-            Box::new(move |_| on_success()),
-            Box::new(on_failure),
-        );
+        let beam = self.beam_async_with_timeout_opt(value, timeout);
+        beam.listen(self.inner.ctx.handler(), on_success, on_failure);
     }
 
     /// Queues an asynchronous push of `value` and returns a future
@@ -252,13 +240,12 @@ impl<C: TagDataConverter> Beamer<C> {
         value: C::Value,
         timeout: Option<Duration>,
     ) -> UnitFuture {
-        let bytes = match self.inner.converter.to_message(&value) {
-            Ok(message) => message.to_bytes(),
-            Err(e) => return UnitFuture::failed(OpFailure::InvalidData(e)),
-        };
-        UnitFuture::queued(
-            self.inner.event_loop.submit_future(OpRequest::Push(bytes.into()), timeout),
-        )
+        UnitFuture(match self.inner.converter.to_message(&value) {
+            Ok(message) => {
+                self.inner.event_loop.submit(OpRequest::Push(message.to_bytes().into()), timeout)
+            }
+            Err(e) => OpFuture::failed(OpFailure::InvalidData(e)),
+        })
     }
 
     /// Stops the beamer; queued pushes fail with [`OpFailure::Cancelled`].

@@ -11,7 +11,6 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use morena_android_sim::looper::MainThread;
 use morena_nfc_sim::clock::{Clock, SystemClock};
 use morena_nfc_sim::controller::Resume;
 
@@ -42,37 +41,29 @@ impl OpExecutor for NullExecutor {
     }
 }
 
-/// One event loop over a `NullExecutor`, plus the main thread and
-/// worker pool keeping it alive. Every operation completes on its first
+/// One event loop over a `NullExecutor`, plus the worker pool keeping
+/// it alive. Every operation completes on its first
 /// attempt, so the calling thread measures exactly the per-op machinery:
 /// pool acquire, enqueue, wake, attempt, claim, resolve, recycle.
 pub struct HotLoop {
     event_loop: EventLoop,
     // Order matters for drop: the loop detaches before its engine.
     _exec: Arc<Scheduler>,
-    _main: MainThread,
 }
 
 impl HotLoop {
     /// Builds the harness on the default worker pool with a detached
     /// (disabled) recorder and the real system clock.
     pub fn new() -> HotLoop {
-        let main = MainThread::spawn();
         let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
         let recorder = Arc::new(Recorder::new());
         let exec =
             Arc::new(Scheduler::new(ExecutionPolicy::default(), Arc::clone(&clock), &recorder));
         let name = "bench-hot-loop";
         let telemetry = LoopTelemetry::new(recorder, name.into(), "test", 0, name.into());
-        let event_loop = EventLoop::spawn(
-            &exec,
-            clock,
-            main.handler(),
-            Arc::new(Policy::default()),
-            NullExecutor,
-            telemetry,
-        );
-        HotLoop { event_loop, _exec: exec, _main: main }
+        let event_loop =
+            EventLoop::spawn(&exec, clock, Arc::new(Policy::default()), NullExecutor, telemetry);
+        HotLoop { event_loop, _exec: exec }
     }
 
     /// Submits one read as a future and blocks until it resolves —
@@ -83,7 +74,7 @@ impl HotLoop {
     /// Panics if the loop fails the read (it cannot: the null executor
     /// is infallible and the harness never stops the loop mid-call).
     pub fn read_once(&self) {
-        block_on(self.event_loop.submit_future(OpRequest::Read, Some(Duration::from_secs(60))))
+        block_on(self.event_loop.submit(OpRequest::Read, Some(Duration::from_secs(60))))
             .expect("null executor never fails a read");
     }
 

@@ -19,11 +19,14 @@
 //!   run of queued writes collapses into one exchange at flush time,
 //!   completing every member exactly once in FIFO order;
 //! * per-operation deadlines — an expired head operation is dropped and
-//!   its failure listener fired;
+//!   resolved as timed out;
 //! * cancelled operations are swept from the whole queue (not just the
-//!   head) and their failure listeners fired immediately;
-//! * listener delivery on the application's main thread, in completion
-//!   order.
+//!   head) and resolved at once;
+//! * one way to complete an operation: its result lands on the op's
+//!   completion core and wakes its future, in completion order. Where
+//!   the result is delivered (a listener pair on the main thread, a
+//!   blocked caller, any executor) is the future's consumer's business
+//!   (`future::listen` adapts a future to a listener pair).
 //!
 //! The loop itself is a poll-able state machine (`Shared` implements
 //! `PollTask`): one call to `poll` performs at most one unit of work
@@ -44,7 +47,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
-use morena_android_sim::looper::Handler;
 use morena_nfc_sim::clock::{Clock, SimInstant};
 use morena_nfc_sim::controller::{Resume, Session};
 use morena_nfc_sim::error::NfcOpError;
@@ -55,12 +57,12 @@ use morena_obs::{
 };
 
 use crate::convert::ConvertError;
-use crate::future::{CoreHandle, OpFuture, OpPool};
+use crate::future::{CoreHandle, OpFuture};
 use crate::policy::{BackoffState, Policy};
 use crate::sched::{LoopPoll, PollTask, Scheduler, Shard};
 
 /// Why an asynchronous MORENA operation did not succeed, delivered to the
-/// operation's failure listener.
+/// operation's failure listener or future.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum OpFailure {
@@ -183,12 +185,6 @@ impl OpTicket {
         OpTicket { core, task }
     }
 
-    /// A ticket for an operation that was never queued: already
-    /// resolved, already cancelled, cancelling it is a no-op.
-    pub(crate) fn dead() -> OpTicket {
-        OpTicket::new(OpPool::dead_core(), Weak::new())
-    }
-
     /// Requests cancellation. Returns whether this call withdrew the
     /// operation (false = already cancelled earlier, or already
     /// completed — a completed op cannot be un-delivered).
@@ -212,20 +208,6 @@ impl OpTicket {
     pub fn is_cancelled(&self) -> bool {
         self.core.cancel_requested()
     }
-}
-
-/// How a completed operation reaches its consumer.
-pub(crate) enum Completion {
-    /// The paper's surface: success/failure listener pair, posted to the
-    /// application's main thread.
-    Listeners {
-        on_success: Box<dyn FnOnce(OpResponse) + Send>,
-        on_failure: Box<dyn FnOnce(OpFailure) + Send>,
-    },
-    /// An [`OpFuture`] awaits the result: it is stored on the op's
-    /// completion core and the registered waker is woken inline on the
-    /// polling thread — no main-thread hop, no boxed closure.
-    Future,
 }
 
 /// One attempt of the head op (and of the queued writes coalesced into
@@ -265,7 +247,6 @@ struct PendingOp {
     enqueued_at: SimInstant,
     /// The pooled completion state shared with tickets and futures.
     core: CoreHandle,
-    completion: Completion,
     /// The op's causal identity: minted at submit (a child of the
     /// submitter's ambient context, or a fresh sampled-or-not root) and
     /// stamped on every event this op causes — attempts, completion,
@@ -286,7 +267,6 @@ pub(crate) struct Shared {
     /// loop and its freelist supplies the completion cores.
     shard: Arc<Shard>,
     clock: Arc<dyn Clock>,
-    handler: Handler,
     /// The distribution policy, shared by every loop minted with it.
     policy: Arc<Policy>,
     poller: Mutex<Poller>,
@@ -307,21 +287,10 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Posts a listener to the main thread; if the looper has already
-    /// quit (application teardown), runs it inline on the current thread
-    /// instead — the terminal-delivery guarantee outranks thread
-    /// affinity once the main thread no longer exists.
-    fn post_listener(&self, task: impl FnOnce() + Send + 'static) {
-        if let Err(task) = self.handler.post_or_take(task) {
-            task();
-        }
-    }
-
     /// The single resolution path for a queued operation: claims the
-    /// op's completion core (exactly one resolver wins — a listener can
-    /// never fire *and* the op be swept as cancelled), records
-    /// stats/metrics/obs for the winning outcome, and delivers it
-    /// through the op's [`Completion`].
+    /// op's completion core (exactly one resolver wins — an op can never
+    /// complete *and* be swept as cancelled), records stats/metrics/obs
+    /// for the winning outcome, and resolves the core with it.
     fn complete(&self, op: PendingOp, at: SimInstant, outcome: Result<OpResponse, OpFailure>) {
         if !op.core.try_claim() {
             return;
@@ -329,7 +298,6 @@ impl Shared {
         // Every lifecycle event of this op carries *its* context, not
         // whatever happens to be ambient on the completing thread (a
         // coalesced follower completes during the head's attempt scope).
-        let trace = op.trace;
         let outcome_kind = match &outcome {
             Ok(_) => OpOutcome::Succeeded,
             Err(OpFailure::TimedOut) => OpOutcome::TimedOut,
@@ -338,27 +306,12 @@ impl Shared {
         };
         self.telemetry.completed(
             at.as_nanos(),
-            trace,
+            op.trace,
             op.op_id,
             outcome_kind,
             op.enqueued_at.as_nanos(),
         );
-        // Listeners run under the op's context so any operation the
-        // application submits from inside the callback joins the trace
-        // as a child hop — the read-then-write chain stays one story.
-        match op.completion {
-            Completion::Listeners { on_success, on_failure } => match outcome {
-                Ok(response) => {
-                    drop(on_failure);
-                    self.post_listener(move || trace::with(trace, move || on_success(response)));
-                }
-                Err(failure) => {
-                    drop(on_success);
-                    self.post_listener(move || trace::with(trace, move || on_failure(failure)));
-                }
-            },
-            Completion::Future => op.core.resolve(outcome),
-        }
+        op.core.resolve(outcome);
     }
 
     /// Re-enqueues this loop for a poll.
@@ -367,8 +320,9 @@ impl Shared {
     }
 
     /// Empties the queue, failing every op as Cancelled. Runs on the
-    /// polling thread once `stopped` is observed; `submit` races are
-    /// closed by its own under-lock `stopped` re-check.
+    /// polling thread once `stopped` is observed, and when the loop is
+    /// freed; `submit` races are closed by its own under-lock `stopped`
+    /// re-check.
     fn drain_all(&self) {
         let drained: Vec<PendingOp> = self.queue.lock().drain(..).collect();
         if drained.is_empty() {
@@ -381,7 +335,7 @@ impl Shared {
     }
 
     /// Removes cancelled ops from the *whole* queue (not just the head)
-    /// and fires their listeners immediately.
+    /// and resolves them immediately.
     fn sweep_cancelled(&self, now: SimInstant) {
         let swept: Vec<PendingOp> = {
             let mut queue = self.queue.lock();
@@ -406,8 +360,8 @@ impl Shared {
     }
 
     /// Pops the head only if it is still the op we just attempted — a
-    /// concurrent drain may have removed it, in which case its Cancelled
-    /// listener already fired and the response is dropped.
+    /// concurrent drain may have removed it, in which case it already
+    /// resolved as Cancelled and the response is dropped.
     fn pop_if_head(&self, op_id: u64) -> Option<PendingOp> {
         let mut queue = self.queue.lock();
         if queue.front().is_some_and(|op| op.op_id == op_id) {
@@ -419,7 +373,7 @@ impl Shared {
 
     /// Pops the front run of ops whose ids match `head` then `rest` in
     /// order, skipping any id no longer at the front (a concurrent drain
-    /// removed it and already fired its Cancelled listener). The ids were
+    /// removed it and already resolved it as Cancelled). The ids were
     /// gathered from the queue front under this same lock earlier in the
     /// poll, so whatever survives is still a contiguous prefix in the
     /// same order.
@@ -660,11 +614,20 @@ impl Shared {
     }
 }
 
+impl Drop for Shared {
+    /// A loop freed with ops still queued (the engine shut down with the
+    /// loop in a ready queue or on its timer heap) resolves them, so no
+    /// consumer waits on a queue nobody polls. A listener's task is
+    /// reachable only from its op's core, so resolving is also what frees
+    /// it.
+    fn drop(&mut self) {
+        self.drain_all();
+    }
+}
+
 impl PendingOp {
     /// Heap bytes this op drags along beyond its own struct: the
-    /// payload buffer. Listener boxes count only their fat pointers
-    /// (already inside the struct) — closure environments are opaque,
-    /// and in practice a few machine words.
+    /// payload buffer.
     fn payload_bytes(&self) -> u64 {
         match &self.request {
             OpRequest::Write(bytes) | OpRequest::Push(bytes) => bytes.len() as u64,
@@ -763,7 +726,6 @@ impl EventLoop {
     pub(crate) fn spawn(
         exec: &Scheduler,
         clock: Arc<dyn Clock>,
-        handler: Handler,
         policy: Arc<Policy>,
         executor: impl OpExecutor,
         telemetry: LoopTelemetry,
@@ -778,7 +740,6 @@ impl EventLoop {
             scheduled: AtomicBool::new(false),
             shard: exec.assign(),
             clock,
-            handler,
             policy,
             poller: Mutex::new(Poller { backoff, in_flight: None }),
             executor: Box::new(executor),
@@ -795,20 +756,15 @@ impl EventLoop {
         EventLoop { shared }
     }
 
-    /// Enqueues an operation with an explicit timeout and the given
-    /// completion mode, returning the caller's handle onto its pooled
-    /// completion core.
+    /// Enqueues an operation, `timeout` overriding the policy's budget,
+    /// and returns its future. Dropping the future withdraws the
+    /// operation.
     ///
-    /// If the loop has been stopped the operation resolves immediately
-    /// with [`OpFailure::Cancelled`] (the listener fires, or the future
-    /// resolves — nothing ever hangs on a dead loop). It still counts
-    /// as submitted, so every view keeps `submitted ≥ cancelled`.
-    fn submit_with(
-        &self,
-        request: OpRequest,
-        timeout: Option<Duration>,
-        completion: Completion,
-    ) -> CoreHandle {
+    /// If the loop has been stopped the future resolves at once with
+    /// [`OpFailure::Cancelled`] (nothing ever hangs on a dead loop). The
+    /// operation still counts as submitted, so every view keeps
+    /// `submitted ≥ cancelled`.
+    pub(crate) fn submit(&self, request: OpRequest, timeout: Option<Duration>) -> OpFuture {
         let shared = &self.shared;
         let core = shared.shard.pool().acquire();
         let handle = core.clone();
@@ -825,8 +781,7 @@ impl EventLoop {
             op_kind(&request),
             deadline.as_nanos(),
         );
-        let mut op =
-            Some(PendingOp { op_id, request, deadline, enqueued_at: now, core, completion, trace });
+        let mut op = Some(PendingOp { op_id, request, deadline, enqueued_at: now, core, trace });
         {
             // Check `stopped` under the queue lock: the stop-side drain
             // also takes this lock, so either our push lands before the
@@ -842,43 +797,13 @@ impl EventLoop {
             None => shared.wake(),
             Some(op) => shared.complete(op, shared.clock.now(), Err(OpFailure::Cancelled)),
         }
-        handle
-    }
-
-    /// Enqueues an operation with the paper's listener-pair completion.
-    ///
-    /// If the loop has been stopped the failure listener fires (on the
-    /// main thread) with [`OpFailure::Cancelled`].
-    pub(crate) fn submit(
-        &self,
-        request: OpRequest,
-        timeout: Option<Duration>,
-        on_success: Box<dyn FnOnce(OpResponse) + Send>,
-        on_failure: Box<dyn FnOnce(OpFailure) + Send>,
-    ) -> OpTicket {
-        let core =
-            self.submit_with(request, timeout, Completion::Listeners { on_success, on_failure });
-        OpTicket::new(core, Arc::downgrade(&self.shared))
-    }
-
-    /// Enqueues an operation resolved through a future instead of
-    /// listeners. Dropping the returned future withdraws the operation.
-    pub(crate) fn submit_future(&self, request: OpRequest, timeout: Option<Duration>) -> OpFuture {
-        let task = Arc::downgrade(&self.shared);
-        let core = self.submit_with(request, timeout, Completion::Future);
-        OpFuture::new(core, task)
+        OpFuture::new(handle, Arc::downgrade(shared), trace)
     }
 
     /// Wakes the loop so it re-examines connectivity — called by the
     /// owner when discovery events arrive for this reference.
     pub(crate) fn wake(&self) {
         self.shared.wake();
-    }
-
-    /// A ticket for an operation that never entered the queue (e.g. it
-    /// failed conversion); cancelling it is a no-op.
-    pub(crate) fn dead_ticket(&self) -> OpTicket {
-        OpTicket::dead()
     }
 
     /// Number of operations still queued (including the one currently
@@ -922,6 +847,7 @@ impl EventLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::future::listen;
     use crate::policy::Backoff;
     use crate::sched::ExecutionPolicy;
     use morena_android_sim::looper::MainThread;
@@ -945,6 +871,20 @@ mod tests {
             let _ = self.executed.send(request.clone());
             Resume::Ready(self.results.lock().pop_front().unwrap_or(Ok(OpResponse::Done)))
         }
+    }
+
+    /// Submits `request` and hands its outcome to `deliver` on `main`.
+    fn listen_to(
+        main: &MainThread,
+        event_loop: &EventLoop,
+        request: OpRequest,
+        timeout: Option<Duration>,
+        deliver: impl FnOnce(Result<OpResponse, OpFailure>) + Send + 'static,
+    ) -> OpTicket {
+        let future = event_loop.submit(request, timeout);
+        let ticket = future.ticket();
+        listen(main.handler(), future.trace(), future, deliver);
+        ticket
     }
 
     /// A telemetry handle on a fresh disabled recorder — events go
@@ -988,7 +928,6 @@ mod tests {
             let event_loop = EventLoop::spawn(
                 &exec,
                 clock,
-                main.handler(),
                 Arc::new(config),
                 Scripted {
                     connected: Arc::clone(&connected),
@@ -1010,18 +949,12 @@ mod tests {
         }
 
         fn submit(&self, request: OpRequest, timeout: Option<Duration>) -> OpTicket {
-            let ok = self.outcome_tx.clone();
-            let err = self.outcome_tx.clone();
-            self.event_loop.submit(
-                request,
-                timeout,
-                Box::new(move |r| {
-                    ok.send(Ok(r)).unwrap();
-                }),
-                Box::new(move |f| {
-                    err.send(Err(f)).unwrap();
-                }),
-            )
+            let tx = self.outcome_tx.clone();
+            // A loop freed after the fixture resolves what it still
+            // queues, when nobody may be receiving any more.
+            listen_to(&self.main, &self.event_loop, request, timeout, move |outcome| {
+                let _ = tx.send(outcome);
+            })
         }
 
         fn next_outcome(&self) -> Result<OpResponse, OpFailure> {
@@ -1156,18 +1089,14 @@ mod tests {
         let event_loop = EventLoop::spawn(
             &exec,
             clock.clone() as Arc<dyn Clock>,
-            main.handler(),
             Arc::new(Policy::default()),
             DeadlineCrosser { clock: Arc::clone(&clock), executes: Arc::clone(&executes) },
             detached("deadline"),
         );
         let (tx, rx) = channel();
-        event_loop.submit(
-            OpRequest::Read,
-            Some(Duration::from_secs(1)),
-            Box::new(|_| panic!("must not succeed past the deadline")),
-            Box::new(move |f| tx.send(f).unwrap()),
-        );
+        listen_to(&main, &event_loop, OpRequest::Read, Some(Duration::from_secs(1)), move |r| {
+            tx.send(r.expect_err("must not succeed past the deadline")).unwrap()
+        });
         assert_eq!(rx.recv_timeout(Duration::from_secs(10)).unwrap(), OpFailure::TimedOut);
         assert_eq!(executes.load(Ordering::SeqCst), 0, "no attempt at or past the deadline");
         assert_eq!(event_loop.stats().snapshot().timed_out, 1);
@@ -1203,7 +1132,6 @@ mod tests {
             let event_loop = EventLoop::spawn(
                 &exec,
                 Arc::clone(&clock),
-                main.handler(),
                 Arc::new(Policy::default()),
                 Scripted {
                     connected: Arc::new(AtomicBool::new(false)),
@@ -1217,16 +1145,13 @@ mod tests {
                 let event_loop = event_loop.clone();
                 std::thread::spawn(move || event_loop.stop())
             };
-            let ok_tx = tx.clone();
-            event_loop.submit(
-                OpRequest::Read,
-                None,
-                Box::new(move |_| ok_tx.send("success").unwrap()),
-                Box::new(move |f| {
+            listen_to(&main, &event_loop, OpRequest::Read, None, move |outcome| match outcome {
+                Ok(_) => tx.send("success").unwrap(),
+                Err(f) => {
                     assert_eq!(f, OpFailure::Cancelled);
                     tx.send("cancelled").unwrap();
-                }),
-            );
+                }
+            });
             stopper.join().unwrap();
             // Exactly one listener fires, no matter the interleaving.
             assert_eq!(
@@ -1413,7 +1338,6 @@ mod tests {
         let event_loop = EventLoop::spawn(
             &exec,
             clock,
-            main.handler(),
             Arc::new(Policy::default()),
             Scripted {
                 connected: Arc::new(AtomicBool::new(true)),
@@ -1422,16 +1346,19 @@ mod tests {
             },
             detached("thread-check"),
         );
-        event_loop.submit(
-            OpRequest::Read,
-            None,
-            Box::new(move |_| {
-                tx.send(std::thread::current().id()).unwrap();
-            }),
-            Box::new(|_| {}),
-        );
-        let ran_on = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        // Submitted inside a trace, the op is a child hop of it, and its
+        // listener runs under the op's context, not the submitter's.
+        let submitter = TraceContext::root(7, 99);
+        trace::with(Some(submitter), || {
+            listen_to(&main, &event_loop, OpRequest::Read, None, move |outcome| {
+                assert!(outcome.is_ok());
+                tx.send((std::thread::current().id(), trace::current())).unwrap();
+            })
+        });
+        let (ran_on, context) = rx.recv_timeout(Duration::from_secs(10)).unwrap();
         assert_eq!(ran_on, main_id);
+        let context = context.expect("the listener runs under the op's context");
+        assert_eq!((context.trace_id, context.parent_span_id), (7, 99));
     }
 
     #[test]
@@ -1530,8 +1457,13 @@ mod tests {
     fn a_submission_to_a_stopped_loop_counts_as_submitted_and_cancelled() {
         let (recorder, f) = scoped_fixture(Policy::default(), "stopped");
         f.event_loop.stop();
-        f.submit(OpRequest::Read, None);
-        assert_eq!(f.next_outcome().unwrap_err(), OpFailure::Cancelled);
+        let (tx, rx) = channel();
+        listen_to(&f.main, &f.event_loop, OpRequest::Read, None, move |outcome| {
+            tx.send((outcome, std::thread::current().id())).unwrap();
+        });
+        let (outcome, ran_on) = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!(outcome.unwrap_err(), OpFailure::Cancelled);
+        assert_eq!(ran_on, f.main.thread_id(), "the failure listener runs on the main thread");
         let stats = f.event_loop.stats().snapshot();
         assert_eq!((stats.submitted, stats.cancelled), (1, 1));
         let metrics = recorder.metrics().snapshot();
@@ -1572,7 +1504,6 @@ mod tests {
 
     #[test]
     fn dropping_the_engine_frees_a_closed_loop_it_never_polled() {
-        let main = MainThread::spawn();
         let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
         let recorder = Recorder::new();
         let exec =
@@ -1582,19 +1513,18 @@ mod tests {
         let busy = EventLoop::spawn(
             &exec,
             Arc::clone(&clock),
-            main.handler(),
             Arc::new(Policy::default()),
             Gated { entered: entered_tx, gate: Mutex::new(gate) },
             detached("busy"),
         );
-        busy.submit(OpRequest::Read, None, Box::new(|_| {}), Box::new(|_| {}));
+        // Held, not dropped: dropping the future would withdraw the read.
+        let _read = busy.submit(OpRequest::Read, None);
         // The only worker is now stuck inside `busy`'s attempt.
         entered.recv_timeout(Duration::from_secs(10)).unwrap();
 
         let closed = EventLoop::spawn(
             &exec,
             clock,
-            main.handler(),
             Arc::new(Policy::default()),
             Scripted {
                 connected: Arc::new(AtomicBool::new(true)),
@@ -1614,6 +1544,47 @@ mod tests {
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         while loop_state.strong_count() > 0 || shard.strong_count() > 0 {
             assert!(std::time::Instant::now() < deadline, "the queued loop and its shard leaked");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_loop_freed_with_ops_queued_resolves_them() {
+        // A listener's task is reachable only from its op's core, and the
+        // core from the queue: a loop freed unpolled (here the engine
+        // shuts down with the loop parked on its timer) must resolve its
+        // queue, or the listener never fires and its closure leaks. The
+        // main thread is gone by then, so the listener runs inline on
+        // the thread that frees the loop.
+        let main = MainThread::spawn();
+        let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
+        let recorder = Recorder::new();
+        let exec = Scheduler::new(ExecutionPolicy::default(), Arc::clone(&clock), &recorder);
+        let event_loop = EventLoop::spawn(
+            &exec,
+            clock,
+            Arc::new(Policy::default()),
+            Scripted {
+                connected: Arc::new(AtomicBool::new(false)),
+                results: Arc::new(Mutex::new(VecDeque::new())),
+                executed: channel().0,
+            },
+            detached("freed"),
+        );
+        let probe = Arc::new(());
+        let held = Arc::clone(&probe);
+        let (tx, rx) = channel();
+        listen_to(&main, &event_loop, OpRequest::Read, None, move |outcome| {
+            let _held = held;
+            tx.send(outcome).unwrap();
+        });
+        drop(main);
+        drop((event_loop, exec));
+        let outcome = rx.recv_timeout(Duration::from_secs(10)).expect("the listener fired");
+        assert_eq!(outcome.unwrap_err(), OpFailure::Cancelled);
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while Arc::strong_count(&probe) > 1 {
+            assert!(std::time::Instant::now() < deadline, "the listener's closure leaked");
             std::thread::sleep(Duration::from_millis(1));
         }
     }

@@ -1,14 +1,13 @@
-//! Futures over the polled event loop, and the pooled completion state
-//! behind them.
+//! Futures over the polled event loop, the pooled completion state
+//! behind them, and the adapter that delivers them to listeners.
 //!
-//! The paper's API surface is listener pairs (§3.2: success/failure
-//! callbacks delivered on the main thread). Production Rust wants
-//! `Future`s. This module bridges the two *without* adding a runtime:
-//! an `OpFuture` is a thin handle onto the same queued operation a
-//! listener pair would observe, resolved inline by the shard worker
-//! that polls the loop. The waker registered by the consumer is stored
-//! on the operation itself, so completion wakes exactly the interested
-//! task — no parked helper thread, no channel.
+//! Every queued operation completes one way: its result lands on the
+//! operation's completion core and wakes whoever polls its `OpFuture`,
+//! inline on the shard worker that resolved it — no parked helper
+//! thread, no channel. The paper's API surface is listener pairs (§3.2:
+//! success/failure callbacks delivered on the main thread); `listen`
+//! is the adapter that turns an op future into that shape. It is the
+//! only code that knows where a result is delivered.
 //!
 //! # The completion core, and why it is pooled
 //!
@@ -27,13 +26,12 @@
 //!
 //! Dropping an `OpFuture` before it resolves withdraws the operation:
 //! the drop clears the registered waker under the slot lock (completion
-//! also wakes under that lock, so after `drop` returns no waker
-//! invocation can be in flight), requests cancellation, and wakes the
-//! loop so the sweep fires promptly. Exactly one resolver ever claims a
-//! core — listener delivery, future resolution, timeout, sweep, and
-//! shutdown drain all go through the same claim, so an operation can
-//! never be counted (or delivered) twice no matter how a cancel races a
-//! completion.
+//! takes the waker under that lock, so after `drop` returns no new wake
+//! can start), requests cancellation, and wakes the loop so the sweep
+//! fires promptly. Exactly one resolver ever claims a core — completion,
+//! timeout, sweep, and shutdown drain all go through the same claim, so
+//! an operation can never be counted (or delivered) twice no matter how
+//! a cancel races a completion.
 //!
 //! [`OpTicket`]: crate::eventloop::OpTicket
 
@@ -43,8 +41,9 @@ use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::task::{Context, Poll, Wake, Waker};
 
-use morena_obs::MemFootprint;
+use morena_android_sim::looper::Handler;
 use morena_obs::Mutex;
+use morena_obs::{trace, MemFootprint, TraceContext};
 
 use crate::eventloop::{OpFailure, OpResponse};
 
@@ -137,18 +136,18 @@ impl CoreHandle {
         CoreHandle { core: Some(core) }
     }
 
-    /// Stores the result of a future-mode operation, gives back this
-    /// (queue-side) reference, then wakes the registered waker. Must
-    /// only be called by the claiming resolver.
+    /// Stores the result of an operation, gives back this (queue-side)
+    /// reference, then wakes the registered waker. Must only be called
+    /// by the claiming resolver.
     ///
     /// The reference goes *before* the wake: the woken `block_on` caller
     /// drops its future as the last holder and so recycles the core
     /// before it submits again — otherwise the next submit could find
-    /// the freelist empty and allocate. The wake itself happens while
-    /// the slot lock is held: `OpFuture::drop` takes the same lock to
-    /// clear the waker, so once a drop returns, no waker invocation can
-    /// still be in flight (the guarantee the async drop/cancel tests pin
-    /// down).
+    /// the freelist empty and allocate. The waker is taken under the
+    /// slot lock, which `OpFuture::drop` takes to clear it, and woken
+    /// after the lock is released: a waker may then poll the future
+    /// inline ([`listen`] does once the main thread has quit) without
+    /// re-entering the lock.
     pub(crate) fn resolve(mut self, result: Result<OpResponse, OpFailure>) {
         let core = self.core.take().expect("a handle holds its core until resolved");
         let mut slot = core.slot.lock();
@@ -160,7 +159,9 @@ impl CoreHandle {
             return;
         }
         slot.result = Some(result);
-        if let Some(waker) = slot.waker.take() {
+        let waker = slot.waker.take();
+        drop(slot);
+        if let Some(waker) = waker {
             waker.wake();
         }
     }
@@ -233,16 +234,6 @@ impl OpPool {
     pub(crate) fn free_len(&self) -> usize {
         self.free.lock().len()
     }
-
-    /// A lone, already-resolved, cancel-flagged core outside any pool —
-    /// the state behind dead tickets (operations that never queued).
-    pub(crate) fn dead_core() -> CoreHandle {
-        let core = Arc::new(OpCore::fresh(Weak::new()));
-        core.state.store(STATE_RESOLVED, Ordering::Release);
-        core.cancelled.store(true, Ordering::Release);
-        core.refs.store(1, Ordering::Release);
-        CoreHandle::new(core)
-    }
 }
 
 impl MemFootprint for OpPool {
@@ -257,25 +248,51 @@ impl MemFootprint for OpPool {
 /// [`OpResponse`]. Public surfaces wrap it with conversion
 /// (`ReadFuture`, `WriteFuture`) or discard the payload ([`UnitFuture`]).
 pub(crate) struct OpFuture {
-    /// `None` once the result has been consumed (or never queued).
+    /// `None` once the result has been consumed.
     core: Option<CoreHandle>,
     task: Weak<crate::eventloop::Shared>,
+    /// The op's causal context, minted at submit: [`listen`] delivers
+    /// under it.
+    trace: Option<TraceContext>,
 }
 
 impl OpFuture {
-    pub(crate) fn new(core: CoreHandle, task: Weak<crate::eventloop::Shared>) -> OpFuture {
-        OpFuture { core: Some(core), task }
+    pub(crate) fn new(
+        core: CoreHandle,
+        task: Weak<crate::eventloop::Shared>,
+        trace: Option<TraceContext>,
+    ) -> OpFuture {
+        OpFuture { core: Some(core), task, trace }
+    }
+
+    /// The future of an operation that never queued (its value failed
+    /// conversion): a lone core outside any pool, already resolved with
+    /// `failure`, whose ticket cancels nothing.
+    pub(crate) fn failed(failure: OpFailure) -> OpFuture {
+        let core = OpCore {
+            state: AtomicU8::new(STATE_RESOLVED),
+            cancelled: AtomicBool::new(true),
+            refs: AtomicUsize::new(1),
+            slot: Mutex::new(CoreSlot { result: Some(Err(failure)), waker: None }),
+            pool: Weak::new(),
+        };
+        OpFuture::new(CoreHandle::new(Arc::new(core)), Weak::new(), None)
     }
 
     /// A cancellation ticket for the underlying operation. After the
-    /// future has resolved this returns a dead ticket (cancel is a
-    /// no-op), matching [`OpTicket`](crate::eventloop::OpTicket)
-    /// semantics for completed operations.
+    /// future has resolved, cancelling it is a no-op, matching
+    /// [`OpTicket`](crate::eventloop::OpTicket) semantics for completed
+    /// operations.
     pub(crate) fn ticket(&self) -> crate::eventloop::OpTicket {
         match &self.core {
             Some(core) => crate::eventloop::OpTicket::new(core.clone(), self.task.clone()),
-            None => crate::eventloop::OpTicket::new(OpPool::dead_core(), Weak::new()),
+            None => OpFuture::failed(OpFailure::Cancelled).ticket(),
         }
+    }
+
+    /// The op's causal context.
+    pub(crate) fn trace(&self) -> Option<TraceContext> {
+        self.trace
     }
 }
 
@@ -304,9 +321,8 @@ impl Future for OpFuture {
 impl Drop for OpFuture {
     fn drop(&mut self) {
         let Some(core) = self.core.take() else { return };
-        // Clear the waker under the slot lock: completion wakes under
-        // the same lock, so after this drop returns the waker can never
-        // be invoked again.
+        // Clear the waker under the slot lock: completion takes it under
+        // the same lock, so after this drop returns no new wake starts.
         core.slot.lock().waker = None;
         if !core.is_resolved() && !core.request_cancel() {
             // Withdraw the operation: the loop's sweep resolves it as
@@ -321,49 +337,34 @@ impl Drop for OpFuture {
 }
 
 /// The future of a queued operation whose payload carries no data —
-/// beam/peer pushes, tag write-protection, and the bench harness's raw
-/// reads. Resolves to `Ok(())` on completion; dropping it before then
-/// withdraws the operation.
-pub struct UnitFuture {
-    state: UnitState,
-}
-
-enum UnitState {
-    /// The operation is queued; resolve through its core.
-    Queued(OpFuture),
-    /// The operation never reached the queue (conversion failed, loop
-    /// stopped): resolve immediately with the stored failure.
-    Immediate(Option<OpFailure>),
-}
+/// beam/peer pushes and tag write-protection. Resolves to `Ok(())` on
+/// completion; dropping it before then withdraws the operation.
+pub struct UnitFuture(pub(crate) OpFuture);
 
 impl UnitFuture {
-    pub(crate) fn queued(inner: OpFuture) -> UnitFuture {
-        UnitFuture { state: UnitState::Queued(inner) }
-    }
-
-    pub(crate) fn failed(failure: OpFailure) -> UnitFuture {
-        UnitFuture { state: UnitState::Immediate(Some(failure)) }
-    }
-
     /// A ticket to cancel the underlying operation without dropping the
     /// future.
     pub fn ticket(&self) -> crate::eventloop::OpTicket {
-        match &self.state {
-            UnitState::Queued(inner) => inner.ticket(),
-            UnitState::Immediate(_) => {
-                crate::eventloop::OpTicket::new(OpPool::dead_core(), Weak::new())
-            }
-        }
+        self.0.ticket()
+    }
+
+    /// Delivers the outcome to a listener pair on the main thread.
+    pub(crate) fn listen(
+        self,
+        handler: Handler,
+        on_success: impl FnOnce() + Send + 'static,
+        on_failure: impl FnOnce(OpFailure) + Send + 'static,
+    ) {
+        listen(handler, self.0.trace(), self, move |outcome| match outcome {
+            Ok(()) => on_success(),
+            Err(failure) => on_failure(failure),
+        });
     }
 }
 
 impl std::fmt::Debug for UnitFuture {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = match &self.state {
-            UnitState::Queued(_) => "queued",
-            UnitState::Immediate(_) => "immediate",
-        };
-        f.debug_struct("UnitFuture").field("state", &state).finish()
+        f.debug_struct("UnitFuture").field("resolved", &self.0.core.is_none()).finish()
     }
 }
 
@@ -371,16 +372,86 @@ impl Future for UnitFuture {
     type Output = Result<(), OpFailure>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        match &mut self.get_mut().state {
-            UnitState::Queued(inner) => match Pin::new(inner).poll(cx) {
-                Poll::Pending => Poll::Pending,
-                Poll::Ready(Ok(_)) => Poll::Ready(Ok(())),
-                Poll::Ready(Err(failure)) => Poll::Ready(Err(failure)),
-            },
-            UnitState::Immediate(failure) => {
-                Poll::Ready(Err(failure.take().expect("UnitFuture polled after completion")))
-            }
+        Pin::new(&mut self.get_mut().0).poll(cx).map_ok(drop)
+    }
+}
+
+/// The listener adapter's task: one op future, polled with the task
+/// itself as the waker, and what to do with its output.
+struct Listen<F, D> {
+    handler: Handler,
+    trace: Option<TraceContext>,
+    /// `None` once the output has been taken for delivery.
+    state: Mutex<Option<(F, D)>>,
+}
+
+impl<F, D> Listen<F, D>
+where
+    F: Future + Unpin + Send + 'static,
+    F::Output: Send + 'static,
+    D: FnOnce(F::Output) + Send + 'static,
+{
+    /// Polls the future once; when it is ready, takes the output and the
+    /// delivery out, so nothing is ever delivered twice.
+    fn poll(self: &Arc<Self>) -> Option<(F::Output, D)> {
+        let mut state = self.state.lock();
+        let (future, _) = state.as_mut()?;
+        let waker = Waker::from(Arc::clone(self));
+        let output = match Pin::new(future).poll(&mut Context::from_waker(&waker)) {
+            Poll::Ready(output) => output,
+            Poll::Pending => return None,
+        };
+        let (_, deliver) = state.take()?;
+        Some((output, deliver))
+    }
+
+    /// Runs `task` on the main thread under the op's context. Once the
+    /// looper has quit (application teardown) it runs inline instead:
+    /// the terminal-delivery guarantee outranks thread affinity once the
+    /// main thread no longer exists.
+    fn on_main(&self, task: impl FnOnce() + Send + 'static) {
+        let trace = self.trace;
+        if let Err(task) = self.handler.post_or_take(move || trace::with(trace, task)) {
+            task();
         }
+    }
+}
+
+impl<F, D> Wake for Listen<F, D>
+where
+    F: Future + Unpin + Send + 'static,
+    F::Output: Send + 'static,
+    D: FnOnce(F::Output) + Send + 'static,
+{
+    fn wake(self: Arc<Self>) {
+        let this = Arc::clone(&self);
+        self.on_main(move || {
+            if let Some((output, deliver)) = this.poll() {
+                deliver(output);
+            }
+        });
+    }
+}
+
+/// Delivers `future`'s output to `deliver` on the main thread `handler`
+/// posts to — the paper's listener surface over an op future. Delivery
+/// runs under the op's causal context `trace`, so an op the listener
+/// submits joins the trace as a child hop: a read-then-write chain stays
+/// one story.
+///
+/// The calling thread polls the future once to register the task as
+/// its waker; every later poll, and the delivery, runs on the main
+/// thread. An output already ready at that first poll is posted too,
+/// never delivered inside the submitting call.
+pub(crate) fn listen<F, D>(handler: Handler, trace: Option<TraceContext>, future: F, deliver: D)
+where
+    F: Future + Unpin + Send + 'static,
+    F::Output: Send + 'static,
+    D: FnOnce(F::Output) + Send + 'static,
+{
+    let task = Arc::new(Listen { handler, trace, state: Mutex::new(Some((future, deliver))) });
+    if let Some((output, deliver)) = task.poll() {
+        task.on_main(move || deliver(output));
     }
 }
 
@@ -419,10 +490,9 @@ thread_local! {
 /// adapters, usable with any MORENA future.
 ///
 /// The parker waker is cached per thread, so repeated calls perform no
-/// allocation of their own. Must not be called from the main thread
-/// when the future depends on main-thread listener delivery (the
-/// future-based operations do not — they resolve on the loop's polling
-/// thread).
+/// allocation of their own. MORENA's futures resolve on the loop's
+/// polling thread, never through the main thread, so this is safe to
+/// call from the main thread too.
 pub fn block_on<F: Future>(future: F) -> F::Output {
     let mut future = std::pin::pin!(future);
     PARKER.with(|(parker, waker)| {
@@ -508,7 +578,7 @@ mod tests {
         let pool = OpPool::new();
         let queue_side = pool.acquire();
         let core = Arc::clone(queue_side.core.as_ref().expect("live handle"));
-        let mut future = OpFuture::new(queue_side.clone(), Weak::new());
+        let mut future = OpFuture::new(queue_side.clone(), Weak::new(), None);
         let probe = Arc::new(RefProbe { core, refs_at_wake: AtomicUsize::new(0) });
         let waker = Waker::from(Arc::clone(&probe));
         assert!(Pin::new(&mut future).poll(&mut Context::from_waker(&waker)).is_pending());

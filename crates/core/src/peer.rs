@@ -27,7 +27,7 @@ use crate::beam::PushExecutor;
 use crate::context::MorenaContext;
 use crate::convert::TagDataConverter;
 use crate::eventloop::{EventLoop, OpFailure, OpRequest, OpStats};
-use crate::future::UnitFuture;
+use crate::future::{OpFuture, UnitFuture};
 use crate::policy::Policy;
 use crate::router::{RouteGuard, RouteKey};
 use crate::tracewire;
@@ -122,7 +122,6 @@ impl<C: TagDataConverter> PeerReference<C> {
         let event_loop = EventLoop::spawn(
             ctx.execution(),
             Arc::clone(ctx.clock()),
-            ctx.handler(),
             policy,
             PushExecutor { nfc: ctx.nfc().clone(), to: Some(peer) },
             // Target keyed like the simulator's peer-presence events
@@ -203,19 +202,8 @@ impl<C: TagDataConverter> PeerReference<C> {
         F: FnOnce() + Send + 'static,
         G: FnOnce(OpFailure) + Send + 'static,
     {
-        let bytes = match self.inner.converter.to_message(&value) {
-            Ok(message) => message.to_bytes(),
-            Err(e) => {
-                self.inner.ctx.handler().post(move || on_failure(OpFailure::InvalidData(e)));
-                return;
-            }
-        };
-        self.inner.event_loop.submit(
-            OpRequest::Push(bytes.into()),
-            timeout,
-            Box::new(move |_| on_delivered()),
-            Box::new(on_failure),
-        );
+        let send = self.send_async_with_timeout_opt(value, timeout);
+        send.listen(self.inner.ctx.handler(), on_delivered, on_failure);
     }
 
     /// Queues `value` for delivery and returns a future resolving once
@@ -237,13 +225,12 @@ impl<C: TagDataConverter> PeerReference<C> {
         value: C::Value,
         timeout: Option<Duration>,
     ) -> UnitFuture {
-        let bytes = match self.inner.converter.to_message(&value) {
-            Ok(message) => message.to_bytes(),
-            Err(e) => return UnitFuture::failed(OpFailure::InvalidData(e)),
-        };
-        UnitFuture::queued(
-            self.inner.event_loop.submit_future(OpRequest::Push(bytes.into()), timeout),
-        )
+        UnitFuture(match self.inner.converter.to_message(&value) {
+            Ok(message) => {
+                self.inner.event_loop.submit(OpRequest::Push(message.to_bytes().into()), timeout)
+            }
+            Err(e) => OpFuture::failed(OpFailure::InvalidData(e)),
+        })
     }
 
     /// Stops the reference; queued messages fail with
