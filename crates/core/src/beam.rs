@@ -12,71 +12,24 @@
 //! * a [`BeamReceiver`] converts incoming pushes with its read converter
 //!   and invokes a typed [`BeamListener`] on the main thread, with the
 //!   §3.4 `check_condition` predicate applied first.
+//!
+//! Both are the undirected case of the push machine in [`crate::peer`]:
+//! a `Beamer` is a push core aimed at no phone in particular, and a
+//! `BeamReceiver` registers the same inbound route a
+//! [`PeerInbox`](crate::peer::PeerInbox) does.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use morena_ndef::NdefMessage;
-use morena_nfc_sim::controller::{NfcHandle, Resume};
-use morena_nfc_sim::error::NfcOpError;
-use morena_nfc_sim::world::{NfcEvent, PhoneId};
-use morena_obs::Mutex;
-use morena_obs::{trace, EventKind, MemFootprint};
+use morena_nfc_sim::world::PhoneId;
+use morena_obs::{EventKind, MemFootprint};
 
 use crate::context::MorenaContext;
 use crate::convert::TagDataConverter;
-use crate::eventloop::{
-    Attempted, EventLoop, OpExecutor, OpFailure, OpRequest, OpResponse, OpStats, Progress,
-};
-use crate::future::{OpFuture, UnitFuture};
+use crate::eventloop::{OpFailure, OpStats};
+use crate::future::UnitFuture;
+use crate::peer::{Inbound, PeerListener, PushCore};
 use crate::policy::Policy;
-use crate::router::{RouteGuard, RouteKey};
-use crate::tracewire;
-
-/// The physical executor behind a [`Beamer`] (`to: None`, any peer in
-/// range) and a [`PeerReference`](crate::peer::PeerReference) (one peer):
-/// one push per attempt.
-pub(crate) struct PushExecutor {
-    pub(crate) nfc: NfcHandle,
-    pub(crate) to: Option<PhoneId>,
-}
-
-impl OpExecutor for PushExecutor {
-    fn connected(&self) -> bool {
-        match self.to {
-            Some(peer) => self.nfc.peer_in_range(peer),
-            None => self.nfc.any_peer_in_range(),
-        }
-    }
-
-    fn execute(&self, request: &OpRequest, progress: &mut Progress) -> Attempted {
-        let OpRequest::Push(bytes) = request else {
-            return Resume::Ready(Err(NfcOpError::Protocol("peers only take pushes")));
-        };
-        // The poll loop runs this under the op's ambient trace scope; a
-        // sampled context rides the payload in-band so the receiving
-        // phone's handler joins the trace. The stamp is the same on the
-        // poll that begins the push and on the one that lands it.
-        let stamped = tracewire::stamp_outgoing(bytes);
-        let payload = stamped.as_deref().unwrap_or(bytes);
-        self.nfc
-            .resume_beam(&mut progress.session, self.to, payload)
-            .map(|pushed| pushed.map(|_| OpResponse::Done).map_err(NfcOpError::Link))
-    }
-}
-
-struct BeamerInner<C: TagDataConverter> {
-    ctx: MorenaContext,
-    converter: Arc<C>,
-    event_loop: EventLoop,
-    route: Mutex<Option<RouteGuard>>,
-}
-
-impl<C: TagDataConverter> Drop for BeamerInner<C> {
-    fn drop(&mut self) {
-        self.event_loop.stop();
-    }
-}
 
 /// Queues values to be pushed to whatever peer phone comes into
 /// proximity, with success/failure listeners and timeouts — the paper's
@@ -102,25 +55,25 @@ impl<C: TagDataConverter> Drop for BeamerInner<C> {
 /// assert_eq!(beamer.queue_len(), 1);
 /// ```
 pub struct Beamer<C: TagDataConverter> {
-    inner: Arc<BeamerInner<C>>,
+    core: Arc<PushCore<C>>,
 }
 
 impl<C: TagDataConverter> Clone for Beamer<C> {
     fn clone(&self) -> Beamer<C> {
-        Beamer { inner: Arc::clone(&self.inner) }
+        Beamer { core: Arc::clone(&self.core) }
     }
 }
 
 impl<C: TagDataConverter> MemFootprint for Beamer<C> {
     fn mem_bytes(&self) -> u64 {
-        std::mem::size_of::<BeamerInner<C>>() as u64 + self.inner.event_loop.mem_bytes()
+        self.core.mem_bytes()
     }
 }
 
 impl<C: TagDataConverter> std::fmt::Debug for Beamer<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Beamer")
-            .field("mime", &self.inner.converter.mime_type())
+            .field("mime", &self.core.converter.mime_type())
             .field("queued", &self.queue_len())
             .finish()
     }
@@ -139,42 +92,22 @@ impl<C: TagDataConverter> Beamer<C> {
 
     /// Creates a beamer pinned to a policy it shares.
     pub(crate) fn build(ctx: &MorenaContext, converter: Arc<C>, policy: Arc<Policy>) -> Beamer<C> {
-        let event_loop = EventLoop::spawn(
-            ctx.execution(),
-            Arc::clone(ctx.clock()),
-            policy,
-            PushExecutor { nfc: ctx.nfc().clone(), to: None },
-            // Beaming is undirected; `*` tells the correlator to count
-            // *any* peer in range as reachability for these ops.
-            ctx.loop_telemetry("beamer".into(), "beam", "*".into()),
-        );
-        // Any peer appearing or leaving may change reachability: poke the
-        // loop through the context's shared event router.
-        let loop_for_route = event_loop.clone();
-        let route = ctx.router().register(RouteKey::AnyPeer, move |_| loop_for_route.wake());
-        Beamer {
-            inner: Arc::new(BeamerInner {
-                ctx: ctx.clone(),
-                converter,
-                event_loop,
-                route: Mutex::new(Some(route)),
-            }),
-        }
+        Beamer { core: PushCore::build(ctx, None, converter, policy) }
     }
 
     /// Whether a peer phone is in beam range right now.
     pub fn peer_in_range(&self) -> bool {
-        self.inner.ctx.nfc().any_peer_in_range()
+        self.core.in_range()
     }
 
     /// Number of queued pushes.
     pub fn queue_len(&self) -> usize {
-        self.inner.event_loop.queue_len()
+        self.core.event_loop.queue_len()
     }
 
     /// Lifetime push statistics.
     pub fn stats(&self) -> Arc<OpStats> {
-        self.inner.event_loop.stats()
+        self.core.event_loop.stats()
     }
 
     /// Queues an asynchronous push of `value` with the default timeout.
@@ -186,7 +119,7 @@ impl<C: TagDataConverter> Beamer<C> {
         F: FnOnce() + Send + 'static,
         G: FnOnce(OpFailure) + Send + 'static,
     {
-        self.beam_impl(value, None, on_success, on_failure);
+        self.core.push_then(value, None, on_success, on_failure);
     }
 
     /// [`beam`](Beamer::beam) with an explicit timeout.
@@ -200,26 +133,12 @@ impl<C: TagDataConverter> Beamer<C> {
         F: FnOnce() + Send + 'static,
         G: FnOnce(OpFailure) + Send + 'static,
     {
-        self.beam_impl(value, Some(timeout), on_success, on_failure);
+        self.core.push_then(value, Some(timeout), on_success, on_failure);
     }
 
     /// [`beam`](Beamer::beam) without listeners (fire and forget).
     pub fn beam_ok(&self, value: C::Value) {
-        self.beam_impl(value, None, || {}, |_| {});
-    }
-
-    fn beam_impl<F, G>(
-        &self,
-        value: C::Value,
-        timeout: Option<Duration>,
-        on_success: F,
-        on_failure: G,
-    ) where
-        F: FnOnce() + Send + 'static,
-        G: FnOnce(OpFailure) + Send + 'static,
-    {
-        let beam = self.beam_async_with_timeout_opt(value, timeout);
-        beam.listen(self.inner.ctx.handler(), on_success, on_failure);
+        self.core.push_then(value, None, || {}, |_| {});
     }
 
     /// Queues an asynchronous push of `value` and returns a future
@@ -227,31 +146,18 @@ impl<C: TagDataConverter> Beamer<C> {
     /// the future with [`OpFailure::InvalidData`]; dropping it before
     /// completion withdraws the push.
     pub fn beam_async(&self, value: C::Value) -> UnitFuture {
-        self.beam_async_with_timeout_opt(value, None)
+        self.core.push(value, None)
     }
 
     /// [`beam_async`](Beamer::beam_async) with an explicit timeout.
     pub fn beam_async_with_timeout(&self, value: C::Value, timeout: Duration) -> UnitFuture {
-        self.beam_async_with_timeout_opt(value, Some(timeout))
-    }
-
-    fn beam_async_with_timeout_opt(
-        &self,
-        value: C::Value,
-        timeout: Option<Duration>,
-    ) -> UnitFuture {
-        UnitFuture(match self.inner.converter.to_message(&value) {
-            Ok(message) => {
-                self.inner.event_loop.submit(OpRequest::Push(message.to_bytes().into()), timeout)
-            }
-            Err(e) => OpFuture::failed(OpFailure::InvalidData(e)),
-        })
+        self.core.push(value, Some(timeout))
     }
 
     /// Stops the beamer; queued pushes fail with [`OpFailure::Cancelled`].
+    /// Dropping the last handle does the same.
     pub fn close(&self) {
-        self.inner.route.lock().take();
-        self.inner.event_loop.stop();
+        self.core.close();
     }
 }
 
@@ -271,23 +177,29 @@ pub trait BeamListener<C: TagDataConverter>: Send + Sync + 'static {
     }
 }
 
-struct ReceiverInner<C: TagDataConverter> {
-    converter: Arc<C>,
-    route: Mutex<Option<RouteGuard>>,
-    // Keeps the delivery main thread alive for the receiver's lifetime
-    // (a headless context owns its main thread).
-    _ctx: MorenaContext,
+/// A [`BeamListener`] as the [`PeerListener`] the inbound route
+/// delivers to: a beam listener does not ask who sent the value.
+struct BeamAsPeer<C: TagDataConverter>(Arc<dyn BeamListener<C>>);
+
+impl<C: TagDataConverter> PeerListener<C> for BeamAsPeer<C> {
+    fn on_message(&self, _from: PhoneId, value: C::Value) {
+        self.0.on_beam_received(value);
+    }
+
+    fn check_condition(&self, _from: PhoneId, value: &C::Value) -> bool {
+        self.0.check_condition(value)
+    }
 }
 
 /// Listens for incoming beamed messages of one data type — the paper's
 /// `BeamReceivedListener`, decoupled from the activity.
 pub struct BeamReceiver<C: TagDataConverter> {
-    inner: Arc<ReceiverInner<C>>,
+    inbound: Inbound<C>,
 }
 
 impl<C: TagDataConverter> std::fmt::Debug for BeamReceiver<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BeamReceiver").field("mime", &self.inner.converter.mime_type()).finish()
+        f.debug_struct("BeamReceiver").field("mime", &self.inbound.converter.mime_type()).finish()
     }
 }
 
@@ -299,64 +211,14 @@ impl<C: TagDataConverter> BeamReceiver<C> {
         converter: Arc<C>,
         listener: Arc<dyn BeamListener<C>>,
     ) -> BeamReceiver<C> {
-        let handler = ctx.handler();
-        let recorder = Arc::clone(ctx.nfc().world().obs());
-        let clock = Arc::clone(ctx.clock());
-        let phone = ctx.phone().as_u64();
-        let received_ctr = recorder.metrics().counter("beam.received");
-        let route_converter = Arc::clone(&converter);
-        let route = ctx.router().register(RouteKey::Beam, move |event| {
-            let NfcEvent::BeamReceived { from, bytes } = event else { return };
-            let Ok(message) = NdefMessage::parse(bytes) else { return };
-            // Strip the in-band trace record *before* the converter or
-            // the condition sees the message (applications never observe
-            // it), minting this phone's hop as a child of the sender's
-            // span — same trace_id across both devices.
-            let wire_ctx = tracewire::find_trace(&message);
-            let message = match wire_ctx {
-                Some(_) => tracewire::strip_trace(&message),
-                None => message,
-            };
-            let ctx = wire_ctx.map(|sender| sender.child(recorder.next_span_id()));
-            if !route_converter.accepts(&message) {
-                return;
-            }
-            let Ok(value) = route_converter.from_message(&message) else {
-                return;
-            };
-            if !listener.check_condition(&value) {
-                return;
-            }
-            received_ctr.inc();
-            if recorder.is_enabled() {
-                recorder.emit_traced(
-                    clock.now().as_nanos(),
-                    ctx,
-                    EventKind::BeamReceived {
-                        phone,
-                        from: from.as_u64(),
-                        bytes: bytes.len() as u64,
-                    },
-                );
-            }
-            let listener = Arc::clone(&listener);
-            // The handler callback runs under the received context, so
-            // anything the app does in response — a tag write, a reply
-            // beam — continues the sender's trace as a further hop.
-            handler.post(move || trace::with(ctx, move || listener.on_beam_received(value)));
-        });
-        BeamReceiver {
-            inner: Arc::new(ReceiverInner {
-                converter,
-                route: Mutex::new(Some(route)),
-                _ctx: ctx.clone(),
-            }),
-        }
+        let kind = |phone, from, bytes| EventKind::BeamReceived { phone, from, bytes };
+        let listener = Arc::new(BeamAsPeer(listener));
+        BeamReceiver { inbound: Inbound::new(ctx, converter, listener, "beam.received", kind) }
     }
 
     /// Stops receiving.
     pub fn stop(&self) {
-        self.inner.route.lock().take();
+        self.inbound.stop();
     }
 }
 

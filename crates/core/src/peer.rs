@@ -14,34 +14,167 @@
 //! through automatic retry, and expire at their timeout. [`PeerInbox`]
 //! is the typed receiving side, delivering `(sender, value)` pairs on
 //! the main thread.
+//!
+//! Both push objects run one machine, kept here: a `Beamer` is a push
+//! core aimed at no phone in particular, a `PeerReference` one aimed at
+//! its peer, and a [`BeamReceiver`](crate::beam::BeamReceiver) and a
+//! `PeerInbox` each register the one inbound route.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use morena_ndef::NdefMessage;
+use morena_nfc_sim::controller::{NfcHandle, Resume};
+use morena_nfc_sim::error::NfcOpError;
 use morena_nfc_sim::world::{obs_peer_target, NfcEvent, PhoneId};
 use morena_obs::Mutex;
 use morena_obs::{trace, EventKind, MemFootprint};
 
-use crate::beam::PushExecutor;
 use crate::context::MorenaContext;
 use crate::convert::TagDataConverter;
-use crate::eventloop::{EventLoop, OpFailure, OpRequest, OpStats};
+use crate::eventloop::{
+    Attempted, EventLoop, OpExecutor, OpFailure, OpRequest, OpResponse, OpStats, Progress,
+};
 use crate::future::{OpFuture, UnitFuture};
 use crate::policy::Policy;
 use crate::router::{RouteGuard, RouteKey};
 use crate::tracewire;
 
-struct PeerRefInner<C: TagDataConverter> {
+/// Whether `to` is in push range, any peer when `to` is `None`.
+fn in_range(nfc: &NfcHandle, to: Option<PhoneId>) -> bool {
+    match to {
+        Some(peer) => nfc.peer_in_range(peer),
+        None => nfc.any_peer_in_range(),
+    }
+}
+
+/// The physical executor of a push core: one push per attempt.
+struct PushExecutor {
+    nfc: NfcHandle,
+    to: Option<PhoneId>,
+}
+
+impl OpExecutor for PushExecutor {
+    fn connected(&self) -> bool {
+        in_range(&self.nfc, self.to)
+    }
+
+    fn execute(&self, request: &OpRequest, progress: &mut Progress) -> Attempted {
+        let OpRequest::Push(bytes) = request else {
+            return Resume::Ready(Err(NfcOpError::Protocol("peers only take pushes")));
+        };
+        // The poll loop runs this under the op's ambient trace scope; a
+        // sampled context rides the payload in-band so the receiving
+        // phone's handler joins the trace. The stamp is the same on the
+        // poll that begins the push and on the one that lands it.
+        let stamped = tracewire::stamp_outgoing(bytes);
+        let payload = stamped.as_deref().unwrap_or(bytes);
+        self.nfc
+            .resume_beam(&mut progress.session, self.to, payload)
+            .map(|pushed| pushed.map(|_| OpResponse::Done).map_err(NfcOpError::Link))
+    }
+}
+
+/// The outbound far-reference machine behind a
+/// [`Beamer`](crate::beam::Beamer) (`to: None`, any peer in range) and a
+/// [`PeerReference`] (`to: Some(peer)`). Everything the two differ in
+/// derives from `to`: the loop's name, kind and telemetry target, and
+/// the router key whose presence changes re-arm the loop.
+///
+/// Push listeners take no handle, so the last handle going stops the
+/// loop and its queued pushes fail with [`OpFailure::Cancelled`].
+pub(crate) struct PushCore<C: TagDataConverter> {
     ctx: MorenaContext,
-    peer: PhoneId,
-    converter: Arc<C>,
-    event_loop: EventLoop,
+    to: Option<PhoneId>,
+    pub(crate) converter: Arc<C>,
+    pub(crate) event_loop: EventLoop,
     route: Mutex<Option<RouteGuard>>,
 }
 
-impl<C: TagDataConverter> Drop for PeerRefInner<C> {
+impl<C: TagDataConverter> Drop for PushCore<C> {
     fn drop(&mut self) {
+        self.event_loop.stop();
+    }
+}
+
+impl<C: TagDataConverter> MemFootprint for PushCore<C> {
+    fn mem_bytes(&self) -> u64 {
+        std::mem::size_of::<PushCore<C>>() as u64 + self.event_loop.mem_bytes()
+    }
+}
+
+impl<C: TagDataConverter> PushCore<C> {
+    /// Starts a push core aimed at `to`, pinned to a policy it shares.
+    pub(crate) fn build(
+        ctx: &MorenaContext,
+        to: Option<PhoneId>,
+        converter: Arc<C>,
+        policy: Arc<Policy>,
+    ) -> Arc<PushCore<C>> {
+        // Beaming is undirected; `*` tells the correlator to count *any*
+        // peer in range as reachability for these ops. A peer's target is
+        // keyed like the simulator's peer-presence events ("phone-N") so
+        // the correlator can join the two streams.
+        let (name, kind, target, key) = match to {
+            None => ("beamer".into(), "beam", "*".into(), RouteKey::AnyPeer),
+            Some(peer) => {
+                (format!("peer-{peer}"), "peer", obs_peer_target(peer), RouteKey::Peer(peer))
+            }
+        };
+        let event_loop = EventLoop::spawn(
+            ctx.execution(),
+            Arc::clone(ctx.clock()),
+            policy,
+            PushExecutor { nfc: ctx.nfc().clone(), to },
+            ctx.loop_telemetry(name, kind, target),
+        );
+        // Presence changes of the target re-arm the loop, via the
+        // context's shared event router.
+        let loop_for_route = event_loop.clone();
+        let route = ctx.router().register(key, move |_| loop_for_route.wake());
+        Arc::new(PushCore {
+            ctx: ctx.clone(),
+            to,
+            converter,
+            event_loop,
+            route: Mutex::new(Some(route)),
+        })
+    }
+
+    pub(crate) fn in_range(&self) -> bool {
+        in_range(self.ctx.nfc(), self.to)
+    }
+
+    /// Queues a push of `value`, `timeout` overriding the policy's.
+    /// Conversion failures resolve the future with
+    /// [`OpFailure::InvalidData`].
+    pub(crate) fn push(&self, value: C::Value, timeout: Option<Duration>) -> UnitFuture {
+        UnitFuture(match self.converter.to_message(&value) {
+            Ok(message) => {
+                self.event_loop.submit(OpRequest::Push(message.to_bytes().into()), timeout)
+            }
+            Err(e) => OpFuture::failed(OpFailure::InvalidData(e)),
+        })
+    }
+
+    /// [`push`](PushCore::push) with its outcome delivered to a listener
+    /// pair on the main thread.
+    pub(crate) fn push_then<F, G>(
+        &self,
+        value: C::Value,
+        timeout: Option<Duration>,
+        on_success: F,
+        on_failure: G,
+    ) where
+        F: FnOnce() + Send + 'static,
+        G: FnOnce(OpFailure) + Send + 'static,
+    {
+        self.push(value, timeout).listen(self.ctx.handler(), on_success, on_failure);
+    }
+
+    /// Stops the loop; queued pushes fail with [`OpFailure::Cancelled`].
+    pub(crate) fn close(&self) {
+        self.route.lock().take();
         self.event_loop.stop();
     }
 }
@@ -70,25 +203,26 @@ impl<C: TagDataConverter> Drop for PeerRefInner<C> {
 /// assert_eq!(to_bob.queue_len(), 1);
 /// ```
 pub struct PeerReference<C: TagDataConverter> {
-    inner: Arc<PeerRefInner<C>>,
+    peer: PhoneId,
+    core: Arc<PushCore<C>>,
 }
 
 impl<C: TagDataConverter> Clone for PeerReference<C> {
     fn clone(&self) -> PeerReference<C> {
-        PeerReference { inner: Arc::clone(&self.inner) }
+        PeerReference { peer: self.peer, core: Arc::clone(&self.core) }
     }
 }
 
 impl<C: TagDataConverter> MemFootprint for PeerReference<C> {
     fn mem_bytes(&self) -> u64 {
-        std::mem::size_of::<PeerRefInner<C>>() as u64 + self.inner.event_loop.mem_bytes()
+        self.core.mem_bytes()
     }
 }
 
 impl<C: TagDataConverter> std::fmt::Debug for PeerReference<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PeerReference")
-            .field("peer", &self.inner.peer.to_string())
+            .field("peer", &self.peer.to_string())
             .field("queued", &self.queue_len())
             .field("connected", &self.is_connected())
             .finish()
@@ -99,7 +233,10 @@ impl<C: TagDataConverter> PeerReference<C> {
     /// Creates a reference to `peer` inheriting the context's default
     /// [`Policy`].
     pub fn new(ctx: &MorenaContext, peer: PhoneId, converter: Arc<C>) -> PeerReference<C> {
-        PeerReference::build(ctx, peer, converter, ctx.shared_policy())
+        PeerReference {
+            peer,
+            core: PushCore::build(ctx, Some(peer), converter, ctx.shared_policy()),
+        }
     }
 
     /// Creates a reference to `peer` pinned to an explicit distribution
@@ -110,57 +247,27 @@ impl<C: TagDataConverter> PeerReference<C> {
         converter: Arc<C>,
         policy: Policy,
     ) -> PeerReference<C> {
-        PeerReference::build(ctx, peer, converter, Arc::new(policy))
-    }
-
-    fn build(
-        ctx: &MorenaContext,
-        peer: PhoneId,
-        converter: Arc<C>,
-        policy: Arc<Policy>,
-    ) -> PeerReference<C> {
-        let event_loop = EventLoop::spawn(
-            ctx.execution(),
-            Arc::clone(ctx.clock()),
-            policy,
-            PushExecutor { nfc: ctx.nfc().clone(), to: Some(peer) },
-            // Target keyed like the simulator's peer-presence events
-            // ("phone-N") so the correlator can join the two streams.
-            ctx.loop_telemetry(format!("peer-{peer}"), "peer", obs_peer_target(peer)),
-        );
-        // Presence changes of *this* peer re-arm the loop, via the
-        // context's shared event router.
-        let loop_for_route = event_loop.clone();
-        let route = ctx.router().register(RouteKey::Peer(peer), move |_| loop_for_route.wake());
-        PeerReference {
-            inner: Arc::new(PeerRefInner {
-                ctx: ctx.clone(),
-                peer,
-                converter,
-                event_loop,
-                route: Mutex::new(Some(route)),
-            }),
-        }
+        PeerReference { peer, core: PushCore::build(ctx, Some(peer), converter, Arc::new(policy)) }
     }
 
     /// The peer this reference points at.
     pub fn peer(&self) -> PhoneId {
-        self.inner.peer
+        self.peer
     }
 
     /// Whether the peer is in proximity right now.
     pub fn is_connected(&self) -> bool {
-        self.inner.ctx.nfc().peer_in_range(self.inner.peer)
+        self.core.in_range()
     }
 
     /// Messages still queued for the peer.
     pub fn queue_len(&self) -> usize {
-        self.inner.event_loop.queue_len()
+        self.core.event_loop.queue_len()
     }
 
     /// Lifetime delivery statistics.
     pub fn stats(&self) -> Arc<OpStats> {
-        self.inner.event_loop.stats()
+        self.core.event_loop.stats()
     }
 
     /// Queues `value` for delivery to the peer with the default timeout;
@@ -170,7 +277,7 @@ impl<C: TagDataConverter> PeerReference<C> {
         F: FnOnce() + Send + 'static,
         G: FnOnce(OpFailure) + Send + 'static,
     {
-        self.send_impl(value, None, on_delivered, on_failure);
+        self.core.push_then(value, None, on_delivered, on_failure);
     }
 
     /// [`send`](PeerReference::send) with an explicit timeout.
@@ -184,26 +291,12 @@ impl<C: TagDataConverter> PeerReference<C> {
         F: FnOnce() + Send + 'static,
         G: FnOnce(OpFailure) + Send + 'static,
     {
-        self.send_impl(value, Some(timeout), on_delivered, on_failure);
+        self.core.push_then(value, Some(timeout), on_delivered, on_failure);
     }
 
     /// [`send`](PeerReference::send) without listeners.
     pub fn send_ok(&self, value: C::Value) {
-        self.send_impl(value, None, || {}, |_| {});
-    }
-
-    fn send_impl<F, G>(
-        &self,
-        value: C::Value,
-        timeout: Option<Duration>,
-        on_delivered: F,
-        on_failure: G,
-    ) where
-        F: FnOnce() + Send + 'static,
-        G: FnOnce(OpFailure) + Send + 'static,
-    {
-        let send = self.send_async_with_timeout_opt(value, timeout);
-        send.listen(self.inner.ctx.handler(), on_delivered, on_failure);
+        self.core.push_then(value, None, || {}, |_| {});
     }
 
     /// Queues `value` for delivery and returns a future resolving once
@@ -211,33 +304,19 @@ impl<C: TagDataConverter> PeerReference<C> {
     /// [`OpFailure::InvalidData`]; dropping it before completion
     /// withdraws the message.
     pub fn send_async(&self, value: C::Value) -> UnitFuture {
-        self.send_async_with_timeout_opt(value, None)
+        self.core.push(value, None)
     }
 
     /// [`send_async`](PeerReference::send_async) with an explicit
     /// timeout.
     pub fn send_async_with_timeout(&self, value: C::Value, timeout: Duration) -> UnitFuture {
-        self.send_async_with_timeout_opt(value, Some(timeout))
-    }
-
-    fn send_async_with_timeout_opt(
-        &self,
-        value: C::Value,
-        timeout: Option<Duration>,
-    ) -> UnitFuture {
-        UnitFuture(match self.inner.converter.to_message(&value) {
-            Ok(message) => {
-                self.inner.event_loop.submit(OpRequest::Push(message.to_bytes().into()), timeout)
-            }
-            Err(e) => OpFuture::failed(OpFailure::InvalidData(e)),
-        })
+        self.core.push(value, Some(timeout))
     }
 
     /// Stops the reference; queued messages fail with
-    /// [`OpFailure::Cancelled`].
+    /// [`OpFailure::Cancelled`]. Dropping the last handle does the same.
     pub fn close(&self) {
-        self.inner.route.lock().take();
-        self.inner.event_loop.stop();
+        self.core.close();
     }
 }
 
@@ -257,16 +336,83 @@ pub trait PeerListener<C: TagDataConverter>: Send + Sync + 'static {
     }
 }
 
-struct InboxInner {
+/// The inbound route behind a [`BeamReceiver`](crate::beam::BeamReceiver)
+/// and a [`PeerInbox`]: one registration on the context's event router
+/// that parses each received push once, strips its trace record,
+/// converts and filters it, and posts the value to the main thread.
+pub(crate) struct Inbound<C: TagDataConverter> {
+    pub(crate) converter: Arc<C>,
     route: Mutex<Option<RouteGuard>>,
+    // Keeps the delivery main thread alive for the receiver's lifetime
+    // (a headless context owns its main thread).
     _ctx: MorenaContext,
+}
+
+impl<C: TagDataConverter> Inbound<C> {
+    /// Starts receiving for `listener`; each delivery bumps the counter
+    /// `received` and emits the event `kind(phone, from, bytes)`.
+    pub(crate) fn new(
+        ctx: &MorenaContext,
+        converter: Arc<C>,
+        listener: Arc<dyn PeerListener<C>>,
+        received: &'static str,
+        kind: fn(u64, u64, u64) -> EventKind,
+    ) -> Inbound<C> {
+        let handler = ctx.handler();
+        let recorder = Arc::clone(ctx.nfc().world().obs());
+        let clock = Arc::clone(ctx.clock());
+        let phone = ctx.phone().as_u64();
+        let received_ctr = recorder.metrics().counter(received);
+        let route_converter = Arc::clone(&converter);
+        let route = ctx.router().register(RouteKey::Beam, move |event| {
+            let NfcEvent::BeamReceived { from, bytes } = event else { return };
+            let from = *from;
+            let Ok(message) = NdefMessage::parse(bytes) else { return };
+            // Strip the in-band trace record *before* the converter or
+            // the condition sees the message (applications never observe
+            // it), minting this phone's hop as a child of the sender's
+            // span — same trace_id across both devices.
+            let wire_ctx = tracewire::find_trace(&message);
+            let message = match wire_ctx {
+                Some(_) => tracewire::strip_trace(&message),
+                None => message,
+            };
+            let ctx = wire_ctx.map(|sender| sender.child(recorder.next_span_id()));
+            if !route_converter.accepts(&message) {
+                return;
+            }
+            let Ok(value) = route_converter.from_message(&message) else {
+                return;
+            };
+            if !listener.check_condition(from, &value) {
+                return;
+            }
+            received_ctr.inc();
+            if recorder.is_enabled() {
+                recorder.emit_traced(
+                    clock.now().as_nanos(),
+                    ctx,
+                    kind(phone, from.as_u64(), bytes.len() as u64),
+                );
+            }
+            let listener = Arc::clone(&listener);
+            // The handler callback runs under the received context, so
+            // anything the app does in response — a tag write, a reply
+            // push — continues the sender's trace as a further hop.
+            handler.post(move || trace::with(ctx, move || listener.on_message(from, value)));
+        });
+        Inbound { converter, route: Mutex::new(Some(route)), _ctx: ctx.clone() }
+    }
+
+    pub(crate) fn stop(&self) {
+        self.route.lock().take();
+    }
 }
 
 /// Receives directed (and broadcast) pushes of one data type, delivering
 /// `(sender, value)` to a [`PeerListener`].
 pub struct PeerInbox<C: TagDataConverter> {
-    inner: Arc<InboxInner>,
-    _marker: std::marker::PhantomData<fn() -> C>,
+    inbound: Inbound<C>,
 }
 
 impl<C: TagDataConverter> std::fmt::Debug for PeerInbox<C> {
@@ -283,59 +429,13 @@ impl<C: TagDataConverter> PeerInbox<C> {
         converter: Arc<C>,
         listener: Arc<dyn PeerListener<C>>,
     ) -> PeerInbox<C> {
-        let handler = ctx.handler();
-        let recorder = Arc::clone(ctx.nfc().world().obs());
-        let clock = Arc::clone(ctx.clock());
-        let phone = ctx.phone().as_u64();
-        let received_ctr = recorder.metrics().counter("peer.received");
-        let route = ctx.router().register(RouteKey::Beam, move |event| {
-            let NfcEvent::BeamReceived { from, bytes } = event else { return };
-            let from = *from;
-            let Ok(message) = NdefMessage::parse(bytes) else { return };
-            // Strip the in-band trace record before converters or the
-            // condition see the message, minting this phone's hop as a
-            // child of the sender's span (see `crate::tracewire`).
-            let wire_ctx = tracewire::find_trace(&message);
-            let message = match wire_ctx {
-                Some(_) => tracewire::strip_trace(&message),
-                None => message,
-            };
-            let ctx = wire_ctx.map(|sender| sender.child(recorder.next_span_id()));
-            if !converter.accepts(&message) {
-                return;
-            }
-            let Ok(value) = converter.from_message(&message) else {
-                return;
-            };
-            if !listener.check_condition(from, &value) {
-                return;
-            }
-            received_ctr.inc();
-            if recorder.is_enabled() {
-                recorder.emit_traced(
-                    clock.now().as_nanos(),
-                    ctx,
-                    EventKind::PeerReceived {
-                        phone,
-                        from: from.as_u64(),
-                        bytes: bytes.len() as u64,
-                    },
-                );
-            }
-            let listener = Arc::clone(&listener);
-            // Handler runs under the received context so the app's
-            // response continues the sender's trace.
-            handler.post(move || trace::with(ctx, move || listener.on_message(from, value)));
-        });
-        PeerInbox {
-            inner: Arc::new(InboxInner { route: Mutex::new(Some(route)), _ctx: ctx.clone() }),
-            _marker: std::marker::PhantomData,
-        }
+        let kind = |phone, from, bytes| EventKind::PeerReceived { phone, from, bytes };
+        PeerInbox { inbound: Inbound::new(ctx, converter, listener, "peer.received", kind) }
     }
 
     /// Stops receiving.
     pub fn stop(&self) {
-        self.inner.route.lock().take();
+        self.inbound.stop();
     }
 }
 

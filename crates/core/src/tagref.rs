@@ -160,6 +160,20 @@ impl<C: TagDataConverter> Drop for RefInner<C> {
 /// Within one [`TagDiscoverer`](crate::discovery::TagDiscoverer) there is
 /// exactly one reference per tag (the paper's uniqueness guarantee).
 ///
+/// # Lifetime
+///
+/// An op queued through a listener method ([`read`](TagReference::read),
+/// [`write`](TagReference::write), ...) holds a handle until it
+/// completes: exactly-once delivery must hand its listener a live
+/// reference. So a reference whose every application handle is dropped
+/// stays alive, its loop running, until such an op succeeds, fails or
+/// times out; its listener runs once and the reference goes with that
+/// last handle. [`close`](TagReference::close) ends it at once. Push
+/// objects differ: their listeners take no handle, so dropping the last
+/// [`Beamer`](crate::beam::Beamer) or
+/// [`PeerReference`](crate::peer::PeerReference) fails its queued pushes
+/// with [`OpFailure::Cancelled`].
+///
 /// # Examples
 ///
 /// ```
@@ -648,7 +662,9 @@ impl<C: TagDataConverter> TagReference<C> {
     /// [`OpFailure::Cancelled`] and no further operations are accepted.
     ///
     /// Reclaiming references is the application's responsibility (§3.2);
-    /// this is the lever.
+    /// this is the lever. Dropping every handle is not: an op queued with
+    /// listeners keeps the reference alive until it completes (see
+    /// [Lifetime](TagReference#lifetime)).
     pub fn close(&self) {
         self.inner.route.lock().take();
         self.inner.event_loop.stop();

@@ -10,6 +10,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use morena::core::beam::{BeamListener, BeamReceiver, Beamer};
+use morena::core::convert::ConvertError;
 use morena::obs::{analyze_traces, export_chrome_trace, EventKind, OpKind, TraceContext};
 use morena::prelude::*;
 
@@ -278,4 +279,115 @@ fn unsampled_traces_stay_off_events_and_wire() {
         "unsampled contexts must never reach the event stream"
     );
     assert!(analyze_traces(&events).is_empty());
+}
+
+/// Hands the route's message to the listener as is, so a listener sees
+/// exactly what the inbound route gave the converter.
+struct WholeMessage;
+
+impl TagDataConverter for WholeMessage {
+    type Value = NdefMessage;
+
+    fn mime_type(&self) -> &str {
+        "text/plain"
+    }
+
+    fn to_message(&self, value: &NdefMessage) -> Result<NdefMessage, ConvertError> {
+        Ok(value.clone())
+    }
+
+    fn from_message(&self, message: &NdefMessage) -> Result<NdefMessage, ConvertError> {
+        Ok(message.clone())
+    }
+}
+
+/// Reports every value its condition and its delivery see, tagged with
+/// the stage.
+struct Witness(std::sync::mpsc::Sender<(&'static str, NdefMessage)>);
+
+impl BeamListener<WholeMessage> for Witness {
+    fn on_beam_received(&self, value: NdefMessage) {
+        let _ = self.0.send(("beam", value));
+    }
+
+    fn check_condition(&self, value: &NdefMessage) -> bool {
+        let _ = self.0.send(("beam condition", value.clone()));
+        true
+    }
+}
+
+impl PeerListener<WholeMessage> for Witness {
+    fn on_message(&self, _from: PhoneId, value: NdefMessage) {
+        let _ = self.0.send(("peer", value));
+    }
+
+    fn check_condition(&self, _from: PhoneId, value: &NdefMessage) -> bool {
+        let _ = self.0.send(("peer condition", value.clone()));
+        true
+    }
+}
+
+/// One traced beam reaches a `BeamReceiver` and a `PeerInbox` on the
+/// same phone: each condition and each listener sees the content with
+/// the trace record stripped, each counter rises by one, and each
+/// receipt event is a child of the sender's push span. A beam of a MIME
+/// type the converter rejects reaches neither.
+#[test]
+fn one_traced_beam_reaches_a_beam_receiver_and_a_peer_inbox_alike() {
+    let world = World::with_link(VirtualClock::shared(), LinkModel::instant(), 65);
+    let ring = Arc::new(RingSink::new(4_096));
+    world.obs().install(ring.clone());
+    let sender = world.add_phone("sender");
+    let receiver = world.add_phone("receiver");
+    let sctx = MorenaContext::headless(&world, sender);
+    let rctx = MorenaContext::headless(&world, receiver);
+
+    let (tx, rx) = channel();
+    let _beams = BeamReceiver::new(&rctx, Arc::new(WholeMessage), Arc::new(Witness(tx.clone())));
+    let _inbox = PeerInbox::new(&rctx, Arc::new(WholeMessage), Arc::new(Witness(tx)));
+    world.bring_phones_together(sender, receiver);
+    let before = world.obs().metrics().snapshot();
+
+    let rejected = Beamer::new(&sctx, Arc::new(StringConverter::new("application/other")));
+    block_on(rejected.beam_async("wrong type".to_string())).expect("the push lands");
+    let beamer = Beamer::new(&sctx, Arc::new(StringConverter::plain_text()));
+    beamer.beam_ok("both".to_string());
+
+    let content = StringConverter::plain_text().to_message(&"both".to_string()).unwrap();
+    let mut seen: Vec<&str> = (0..4)
+        .map(|_| {
+            let (stage, value) = rx.recv_timeout(Duration::from_secs(10)).expect("a delivery");
+            assert_eq!(value, content, "{stage} must see the stripped content only");
+            stage
+        })
+        .collect();
+    seen.sort_unstable();
+    assert_eq!(seen, ["beam", "beam condition", "peer", "peer condition"]);
+    assert!(rx.recv_timeout(Duration::from_millis(100)).is_err(), "nothing else arrives");
+
+    let delta = world.obs().metrics().snapshot().delta(&before);
+    assert_eq!(delta.counter("beam.received"), 1);
+    assert_eq!(delta.counter("peer.received"), 1);
+
+    world.obs().flush();
+    let events = ring.snapshot();
+    let receipts: Vec<_> = events
+        .iter()
+        .filter(|e| {
+            matches!(e.kind, EventKind::BeamReceived { .. } | EventKind::PeerReceived { .. })
+        })
+        .collect();
+    assert_eq!(receipts.len(), 2, "one receipt event per receiver: {receipts:?}");
+    assert!(receipts.iter().any(|e| matches!(e.kind, EventKind::BeamReceived { .. })));
+    assert!(receipts.iter().any(|e| matches!(e.kind, EventKind::PeerReceived { .. })));
+    for receipt in receipts {
+        let hop = receipt.trace.expect("a receipt joins the sender's trace");
+        let push = events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::OpEnqueued { op: OpKind::Push, .. }))
+            .find_map(|e| e.trace.filter(|push| push.trace_id == hop.trace_id))
+            .expect("the sender's push span");
+        assert_eq!(hop.parent_span_id, push.span_id, "a child of the push span: {receipt:?}");
+        assert_ne!(hop.span_id, push.span_id);
+    }
 }
